@@ -5,11 +5,21 @@ pixel locations in the current frame; recovering the camera pose is a
 perspective-n-point problem. With six or more points a direct linear
 transform gives a good starting pose; with four or five the DLT is
 underdetermined, so a fixed fan of rotation seeds is refined and the
-best reprojection wins. Refinement is Gauss-Newton over a 6-vector
-increment, three rotation components applied through the exponential
-map on the left and three translation components, which sidesteps
-gimbal issues without quaternion bookkeeping. Coplanar point sets make
-the problem ambiguous and are rejected up front.
+best reprojection wins: the lowest final cost, the first seed on a tie.
+Coplanar point sets make the problem ambiguous and are rejected up front.
+
+Refinement is Levenberg-Marquardt over a 6-vector increment, three
+rotation components applied through the exponential map on the left and
+three translation components, which sidesteps gimbal issues without
+quaternion bookkeeping. One routine refines a stack of starting poses:
+the DLT start is a stack of one, the fan a stack of its seeds that keep
+every point in front. Each seed has its own damping, retry count and
+iteration cap; the linear solves, SVDs and exponentials run batched
+over the seeds still active. A seed stops when its step falls below
+round-off of its parameters (STEP_RTOL), when the Gauss-Newton model
+predicts a negligible relative decrease of its cost (COST_RTOL), or
+after MAX_RETRIES rejected steps in a row. Trial poses stay raw (R, t)
+arrays; only the returned pose is built, and checked, as a Pose.
 
 Pixels are (row, col) everywhere: col = fx * x / z + cx and
 row = fy * y / z + cy.
@@ -22,8 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 COPLANARITY_RTOL = 1e-9
-GRADIENT_TOL = 1e-12
+# a seed stops once its step is below STEP_RTOL of its parameters' scale,
+# or the model predicts a cost decrease below COST_RTOL of its cost
+STEP_RTOL = 1e-12
+COST_RTOL = 1e-12
 MAX_ITERATIONS = 200
+MAX_RETRIES = 8
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -74,26 +88,35 @@ class Pose:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
+# _SKEW_BASIS[i] is the cross-product matrix of the i-th unit vector
+_SKEW_BASIS = np.array(
+    [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+     [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+     [[0, -1, 0], [1, 0, 0], [0, 0, 0]]],
+    dtype=float,
+).reshape(3, 9)
+
+
 def exp_so3(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix for an axis-angle 3-vector (Rodrigues)."""
+    """Rotation matrix for an axis-angle 3-vector (Rodrigues).
+
+    A stack of vectors (..., 3) gives a stack of matrices (..., 3, 3).
+    """
     w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w)
-    k = np.array(
-        [[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]], dtype=float
-    )
-    if theta < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
+    # sin(t)/t rounds to exactly 1 at this floor, so t = 0 needs no branch
+    theta = np.maximum(np.linalg.norm(w, axis=-1), 1e-300)[..., None, None]
+    k = (w @ _SKEW_BASIS).reshape(w.shape[:-1] + (3, 3))
+    half = 0.5 * theta
     a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
+    b = 0.5 * (np.sin(half) / half) ** 2  # (1 - cos t) / t^2
     return np.eye(3) + a * k + b * (k @ k)
 
 
 def _nearest_rotation(m: np.ndarray) -> np.ndarray:
+    """Closest proper rotation to each 3x3 matrix of a stack (..., 3, 3)."""
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def project(K: CameraIntrinsics, pose: Pose, point) -> tuple[float, float]:
@@ -118,73 +141,114 @@ def is_coplanar(points) -> bool:
     return bool(sv[-1] < COPLANARITY_RTOL * sv[0])
 
 
-def reprojection_residuals(K, pose, points, pixels) -> np.ndarray:
-    """Stacked (row, col) reprojection errors in pixels."""
-    cam = pose.transform(points)
-    z = cam[:, 2]
-    rows = K.fy * cam[:, 1] / z + K.cy
-    cols = K.fx * cam[:, 0] / z + K.cx
-    res = np.stack([rows - pixels[:, 0], cols - pixels[:, 1]], axis=1)
-    return res.ravel()
+def _residuals(K, cam: np.ndarray, pixels) -> np.ndarray:
+    """Stacked (row, col) errors (..., 2m) of camera-frame points (..., m, 3)."""
+    z = cam[..., 2]
+    res = np.empty(cam.shape[:-1] + (2,))
+    res[..., 0] = K.fy * cam[..., 1] / z + K.cy - pixels[:, 0]
+    res[..., 1] = K.fx * cam[..., 0] / z + K.cx - pixels[:, 1]
+    return res.reshape(cam.shape[:-2] + (2 * cam.shape[-2],))
 
 
-def reprojection_jacobian(K, pose, points) -> np.ndarray:
-    """Jacobian of the residuals over (rotation increment, translation).
+def _jacobian(K, cam: np.ndarray) -> np.ndarray:
+    """Jacobian (..., 2m, 6) of _residuals over (rotation increment, translation).
 
     The increment acts in camera frame: Xc' = exp(w) Xc + dt, so
     dXc/dw = -[Xc]x and dXc/dt = I.
     """
-    cam = pose.transform(points)
-    m = len(cam)
-    jac = np.zeros((2 * m, 6))
-    for i, (x, y, z) in enumerate(cam):
-        d_row = np.array([0.0, K.fy / z, -K.fy * y / (z * z)])
-        d_col = np.array([K.fx / z, 0.0, -K.fx * x / (z * z)])
-        skew = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]], dtype=float)
-        dxc = np.hstack([-skew, np.eye(3)])
-        jac[2 * i] = d_row @ dxc
-        jac[2 * i + 1] = d_col @ dxc
-    return jac
+    iz = 1.0 / cam[..., 2]
+    u, v = cam[..., 0] * iz, cam[..., 1] * iz
+    jac = np.zeros(cam.shape[:-1] + (2, 6))
+    row, col = jac[..., 0, :], jac[..., 1, :]
+    row[..., 0], row[..., 1], row[..., 2] = -K.fy * (1.0 + v * v), K.fy * u * v, K.fy * u
+    row[..., 4], row[..., 5] = K.fy * iz, -K.fy * v * iz
+    col[..., 0], col[..., 1], col[..., 2] = -K.fx * u * v, K.fx * (1.0 + u * u), -K.fx * v
+    col[..., 3], col[..., 5] = K.fx * iz, -K.fx * u * iz
+    return jac.reshape(cam.shape[:-2] + (2 * cam.shape[-2], 6))
 
 
-def _refine(K, pose, points, pixels) -> tuple[Pose, float]:
-    """Gauss-Newton with Levenberg fallback; returns pose and final cost."""
-    lam = 0.0
-    cost = float(np.sum(reprojection_residuals(K, pose, points, pixels) ** 2))
-    for _ in range(MAX_ITERATIONS):
-        r = reprojection_residuals(K, pose, points, pixels)
-        jac = reprojection_jacobian(K, pose, points)
-        grad = jac.T @ r
-        if np.linalg.norm(grad) < GRADIENT_TOL:
-            break
-        h = jac.T @ jac
-        stepped = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(h + lam * np.eye(6), -grad)
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-6)
-                continue
-            dr = exp_so3(delta[:3])
-            rot = _nearest_rotation(dr @ pose.rotation)
-            cand = Pose(rot, dr @ pose.translation + delta[3:])
-            cam_z = cand.transform(points)[:, 2]
-            if (cam_z > 0).all():
-                new_cost = float(
-                    np.sum(reprojection_residuals(K, cand, points, pixels) ** 2)
-                )
-                if new_cost <= cost:
-                    pose, cost = cand, new_cost
-                    lam = lam / 10.0 if lam > 1e-12 else 0.0
-                    stepped = True
-                    break
-            lam = max(lam * 10.0, 1e-6)
-        if not stepped:
-            break
-    return pose, cost
+def _camera(rot: np.ndarray, trans: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Camera-frame points (S, m, 3) for a stack of poses (S, 3, 3), (S, 3)."""
+    return points @ rot.swapaxes(-1, -2) + trans[:, None, :]
 
 
-def _dlt_pose(K, points, pixels) -> Pose:
+def reprojection_residuals(K, pose, points, pixels) -> np.ndarray:
+    """Stacked (row, col) reprojection errors in pixels."""
+    return _residuals(K, pose.transform(points), pixels)
+
+
+def reprojection_jacobian(K, pose, points) -> np.ndarray:
+    """Jacobian of the residuals over (rotation increment, translation)."""
+    return _jacobian(K, pose.transform(points))
+
+
+def _normal_equations(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    jt = jac.swapaxes(-1, -2)
+    return jt @ jac, (jt @ res[..., None])[..., 0]
+
+
+def _refine_stack(K, rot, trans, points, pixels):
+    """Levenberg-Marquardt on each pose of a stack (S, 3, 3), (S, 3).
+
+    Returns the refined rotations, translations and final costs. A
+    trial step is accepted when every point stays in front and the cost
+    does not rise; damping then drops tenfold (to zero below 1e-12),
+    otherwise it rises tenfold (to at least 1e-6). Arrays hold only the
+    seeds still active; a seed that stops is written out and dropped.
+    """
+    out_rot, out_trans, out_cost = np.empty_like(rot), np.empty_like(trans), np.empty(len(rot))
+    cam = _camera(rot, trans, points)
+    res = _residuals(K, cam, pixels)
+    cost = (res * res).sum(axis=-1)
+    hess, grad = _normal_equations(_jacobian(K, cam), res)
+    idx = np.arange(len(rot))
+    lam = np.zeros(len(rot))
+    retries = np.zeros(len(rot), dtype=int)
+    steps = np.zeros(len(rot), dtype=int)
+    while True:
+        damped = hess + lam[:, None, None] * np.eye(6)
+        try:
+            delta = np.linalg.solve(damped, -grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # a singular system in the batch: least-norm steps for all
+            delta = (np.linalg.pinv(damped) @ -grad[..., None])[..., 0]
+        # cost decrease the damped Gauss-Newton model predicts for the step
+        predicted = 0.5 * (lam * (delta * delta).sum(-1) - (grad * delta).sum(-1))
+        scale = 1.0 + np.abs(trans).max(axis=-1)
+        keep = (
+            (predicted > COST_RTOL * cost)
+            & (np.abs(delta).max(axis=-1) > STEP_RTOL * scale)
+            & (retries < MAX_RETRIES)
+            & (steps < MAX_ITERATIONS)
+        )
+        if not keep.all():
+            done = idx[~keep]
+            out_rot[done], out_trans[done], out_cost[done] = rot[~keep], trans[~keep], cost[~keep]
+            idx, rot, trans, cost, hess, grad, lam, retries, steps, delta = (
+                a[keep] for a in (idx, rot, trans, cost, hess, grad, lam, retries, steps, delta)
+            )
+            if not idx.size:
+                return out_rot, out_trans, out_cost
+        dr = exp_so3(delta[:, :3])
+        cand_rot = _nearest_rotation(dr @ rot)
+        cand_trans = (dr @ trans[..., None])[..., 0] + delta[:, 3:]
+        cam = _camera(cand_rot, cand_trans, points)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            res = _residuals(K, cam, pixels)
+            cand_cost = (res * res).sum(axis=-1)
+            cand_hess, cand_grad = _normal_equations(_jacobian(K, cam), res)
+        ok = (cam[..., 2] > 0).all(axis=-1) & (cand_cost <= cost)
+        rot = np.where(ok[:, None, None], cand_rot, rot)
+        trans = np.where(ok[:, None], cand_trans, trans)
+        cost = np.where(ok, cand_cost, cost)
+        hess = np.where(ok[:, None, None], cand_hess, hess)
+        grad = np.where(ok[:, None], cand_grad, grad)
+        lam = np.where(ok, np.where(lam > 1e-12, lam / 10.0, 0.0), np.maximum(lam * 10.0, 1e-6))
+        retries = np.where(ok, 0, retries + 1)
+        steps = steps + ok
+
+
+def _dlt_pose(K, points, pixels) -> tuple[np.ndarray, np.ndarray]:
     """Direct linear transform initialization for 6+ correspondences."""
     u = (pixels[:, 1] - K.cx) / K.fx
     v = (pixels[:, 0] - K.cy) / K.fy
@@ -195,37 +259,34 @@ def _dlt_pose(K, points, pixels) -> Pose:
     a[0::2, 8:12] = -u[:, None] * hom
     a[1::2, 4:8] = hom
     a[1::2, 8:12] = -v[:, None] * hom
-    _, _, vt = np.linalg.svd(a)
+    _, _, vt = np.linalg.svd(a, full_matrices=False)
     p = vt[-1].reshape(3, 4)
     # fix scale and sign so rotation rows are unit and depths positive
     scale = np.linalg.norm(p[2, :3])
     p /= scale
     if np.median(hom @ p[2]) < 0:
         p = -p
-    rot = _nearest_rotation(p[:, :3])
-    return Pose(rot, p[:, 3])
+    return _nearest_rotation(p[:, :3]), p[:, 3]
 
 
-def _seed_poses(points) -> list[Pose]:
-    """Deterministic rotation fan with a depth heuristic for small sets."""
-    pts = np.asarray(points, dtype=float)
-    centroid = pts.mean(axis=0)
-    spread = float(np.linalg.norm(pts - centroid, axis=1).mean()) or 1.0
-    axes = [
-        np.array([0.0, 0.0, 1.0]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
+# fan rotations: quarter turns about z, x, y and the body diagonal
+_SEED_AXIS_ANGLES = np.array(
+    [
+        np.array(axis) * angle
+        for axis in ([0, 0, 1], [1, 0, 0], [0, 1, 0], [1 / np.sqrt(3.0)] * 3)
+        for angle in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
     ]
-    angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
-    seeds = []
-    for axis in axes:
-        for angle in angles:
-            rot = exp_so3(axis * angle)
-            # place the cloud centroid on the optical axis a few spreads out
-            trans = np.array([0.0, 0.0, 4.0 * spread]) - rot @ centroid
-            seeds.append(Pose(rot, trans))
-    return seeds
+)
+
+
+def _seed_poses(points) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic rotation fan with a depth heuristic for small sets."""
+    rot = exp_so3(_SEED_AXIS_ANGLES)
+    centroid = points.mean(axis=0)
+    spread = float(np.linalg.norm(points - centroid, axis=1).mean()) or 1.0
+    # place the cloud centroid on the optical axis a few spreads out
+    trans = np.array([0.0, 0.0, 4.0 * spread]) - rot @ centroid
+    return rot, trans
 
 
 def solve_pnp(K: CameraIntrinsics, points, pixels) -> Pose:
@@ -245,20 +306,16 @@ def solve_pnp(K: CameraIntrinsics, points, pixels) -> Pose:
         raise DegenerateConfigurationError("points are coplanar")
 
     if len(points) >= 6:
-        candidates = [_dlt_pose(K, points, pixels)]
+        rot, trans = _dlt_pose(K, points, pixels)
+        rot, trans = rot[None], trans[None]
     else:
-        candidates = _seed_poses(points)
-
-    best: tuple[float, Pose] | None = None
-    for cand in candidates:
-        if (cand.transform(points)[:, 2] <= 0).any():
-            continue
-        refined, cost = _refine(K, cand, points, pixels)
-        if best is None or cost < best[0]:
-            best = (cost, refined)
-    if best is None:
+        rot, trans = _seed_poses(points)
+    front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
+    if not front.any():
         raise DegenerateConfigurationError("no candidate kept all points in front")
-    return best[1]
+    rot, trans, cost = _refine_stack(K, rot[front], trans[front], points, pixels)
+    best = int(np.argmin(cost))  # first seed wins a tie
+    return Pose(rot[best], trans[best])
 
 
 def resolve_scale(map_points, pair: tuple[int, int], known_distance: float) -> np.ndarray:

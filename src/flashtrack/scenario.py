@@ -163,6 +163,11 @@ class ScenarioConfig:
             errors.append("trajectory: knot times must be strictly increasing")
 
         hb = raw.get("heartbeat", {})
+        hb_enabled = bool(hb.get("enabled", False))
+        hb_period = need(hb, "period_s", float, "heartbeat", required=hb_enabled)
+        # a pulse period that is not positive would never advance the pulse loop
+        if hb_enabled and hb_period is not None and not (math.isfinite(hb_period) and hb_period > 0):
+            errors.append("heartbeat.period_s: must be positive and finite when enabled")
         noise = raw.get("noise", {})
         book = raw.get("codebook", {})
         mode = need(book, "mode", str, "codebook", default="robust")
@@ -185,8 +190,8 @@ class ScenarioConfig:
             camera_clock_ppm=need(cam, "clock_ppm", float, "camera", default=0.0, required=False)
             or 0.0,
             trajectory=trajectory,
-            heartbeat_enabled=bool(hb.get("enabled", False)),
-            heartbeat_period_s=float(hb.get("period_s", 0.0) or 0.0),
+            heartbeat_enabled=hb_enabled,
+            heartbeat_period_s=hb_period or 0.0,
             heartbeat_timeout_s=float(hb.get("timeout_s", math.inf) or math.inf),
             intensity_sigma=float(noise.get("intensity_sigma", 0.0)),
             hue_sigma=float(noise.get("hue_sigma", 0.0)),
@@ -277,7 +282,9 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     for ident in taken:
         if not 1 <= ident <= len(book):
             raise ConfigError(f"flasher id {ident} outside 1..{len(book)}")
-    auto = [i for i, f in enumerate(config.flashers) if f.identifier is None]
+    # assigned identifiers stay local: the caller's config is left as given
+    identifiers = [f.identifier for f in config.flashers]
+    auto = [i for i, ident in enumerate(identifiers) if ident is None]
     if auto:
         sub_book_ids = [i for i in range(1, len(book) + 1) if i not in taken]
         auto_positions = [config.flashers[i].position for i in auto]
@@ -286,17 +293,17 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             auto_positions, config.visibility_radius_m, book, sub_book_ids
         )
         for slot, ident in zip(auto, picks):
-            config.flashers[slot].identifier = ident
+            identifiers[slot] = ident
 
     emitters = [
         channel.EmitterState(
-            book.word(f.identifier), f.bit_period_s, channel.ClockModel(f.clock_ppm)
+            book.word(ident), f.bit_period_s, channel.ClockModel(f.clock_ppm)
         )
-        for f in config.flashers
+        for f, ident in zip(config.flashers, identifiers)
     ]
     tracker_clock = channel.ClockModel(config.camera_clock_ppm)
     scheme = config.flashers[0].scheme if config.flashers else "hue"
-    position_by_id = {f.identifier: f.position for f in config.flashers}
+    position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
     frame_period = 1.0 / config.sensor.fps
     n_frames = int(math.floor(config.duration_s / frame_period)) + 1
@@ -403,6 +410,10 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
 
         detections.sort(key=lambda d: d.pixel)
         tracks = signal.associate(tracks, detections, config.gating_radius_px, shared_base)
+        # a closed track's id can be handed to a new track later, so its
+        # decoder state goes with it
+        open_ids = {tr.track_id for tr in tracks}
+        track_states = {tid: st for tid, st in track_states.items() if tid in open_ids}
 
         # advance decoders on tracks that got a sample this frame
         frame_ids: dict[int, tuple[float, float]] = {}
@@ -429,7 +440,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 state = st.decoder.push(bit)
                 if state.vote and st.flasher is not None:
                     votes_stats[st.flasher]["total"] += 1
-                    truth_id = config.flashers[st.flasher].identifier
+                    truth_id = identifiers[st.flasher]
                     votes_stats[st.flasher]["ok"] += int(state.vote == truth_id)
                 if state.vote and st.lock_frame is None:
                     st.lock_frame = frame
@@ -487,7 +498,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
         per_flasher.append(
             {
                 "flasher": k,
-                "identifier": spec.identifier,
+                "identifier": identifiers[k],
                 "scheme": spec.scheme,
                 **flasher_lock[k],
                 "locked_identifier": locked_ids[k],

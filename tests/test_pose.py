@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flashtrack import pose
 from flashtrack.pose import (
     CameraIntrinsics,
     DegenerateConfigurationError,
@@ -134,6 +135,86 @@ class TestSolvePnp:
         pix = np.array([project(K, truth, p) for p in pts])
         with pytest.raises(InsufficientDataError):
             solve_pnp(K, pts, pix)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Right-hand sides handed to the linear solve, in call order."""
+    calls = []
+    real_solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        calls.append(np.array(b, copy=True))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(pose.np.linalg, "solve", recording_solve)
+    return calls
+
+
+class TestRefinement:
+    """The one Levenberg-Marquardt routine over a stack of starting poses."""
+
+    def five_point_problem(self, seed=6):
+        rng = np.random.default_rng(seed)
+        pts = cube_points()[[0, 1, 2, 4, 7]]
+        truth = random_pose(rng)
+        pix = np.array([project(K, truth, p) for p in pts])
+        return pts, pix + rng.normal(0.0, 0.5, pix.shape)
+
+    def test_batched_fan_matches_seeds_refined_alone(self):
+        pts, pix = self.five_point_problem()
+        rot, trans = pose._seed_poses(pts)
+        front = (pose._camera(rot, trans, pts)[..., 2] > 0).all(axis=-1)
+        rot, trans = rot[front], trans[front]
+        assert len(rot) > 1
+        b_rot, b_trans, b_cost = pose._refine_stack(K, rot, trans, pts, pix)
+        alone = [
+            pose._refine_stack(K, rot[i : i + 1], trans[i : i + 1], pts, pix)
+            for i in range(len(rot))
+        ]
+        a_cost = np.array([a[2][0] for a in alone])
+        np.testing.assert_allclose(b_cost, a_cost, rtol=1e-9)
+        best = int(np.argmin(a_cost))
+        assert int(np.argmin(b_cost)) == best
+        est = solve_pnp(K, pts, pix)
+        assert np.allclose(est.rotation, alone[best][0][0], atol=1e-9)
+        assert np.allclose(est.translation, alone[best][1][0], atol=1e-9)
+
+    def test_exact_cube_needs_at_most_two_rejected_steps(self, solve_calls):
+        # a rejected step leaves the pose, so the next solve repeats its
+        # right-hand side; the last solve is counted as rejected too
+        rhs = solve_calls
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            truth = random_pose(rng)
+            pts = cube_points()
+            pix = np.array([project(K, truth, p) for p in pts])
+            rhs.clear()
+            solve_pnp(K, pts, pix)
+            repeats = sum(np.array_equal(a, b) for a, b in zip(rhs, rhs[1:]))
+            assert rhs and repeats + 1 <= 2
+
+    def test_seeds_stopping_at_different_iterations_keep_their_own_result(self, solve_calls):
+        pts, pix = self.five_point_problem(seed=8)
+        best = solve_pnp(K, pts, pix)
+        rot = np.stack(
+            [best.rotation, exp_so3([0.05, -0.02, 0.03]) @ best.rotation,
+             exp_so3([0.4, 0.3, -0.2]) @ best.rotation]
+        )
+        trans = best.translation + np.array([[0.0], [0.05], [-0.4]])
+        alone, counts = [], []
+        for i in range(3):
+            solve_calls.clear()
+            alone.append(pose._refine_stack(K, rot[i : i + 1], trans[i : i + 1], pts, pix))
+            counts.append(len(solve_calls))
+        assert len(set(counts)) == 3, counts
+        b_rot, b_trans, b_cost = pose._refine_stack(K, rot, trans, pts, pix)
+        for i, (a_rot, a_trans, a_cost) in enumerate(alone):
+            np.testing.assert_allclose(b_rot[i], a_rot[0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(b_trans[i], a_trans[0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(b_cost[i], a_cost[0], rtol=1e-9)
+        # the seed started at the optimum stays there
+        np.testing.assert_allclose(b_trans[0], best.translation, atol=1e-9)
 
 
 class TestJacobian:

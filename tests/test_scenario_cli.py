@@ -121,6 +121,49 @@ class TestScenarioCube:
         assert report.summary["max_desync_s"] <= 2 * 30e-6 * 0.2 + 1e-12
         assert report.summary["identified_flashers"] == 8
 
+    def test_run_leaves_config_unchanged(self):
+        config = ScenarioConfig.from_dict(cube_config())
+        first = run(config).to_json()
+        assert [f.identifier for f in config.flashers] == [None] * 8
+        assert run(config).to_json() == first
+        assert [f.identifier for f in config.flashers] == [None] * 8
+
+    def test_reused_track_id_starts_a_fresh_decoder(self):
+        # flasher 0 locks, leaves the image and its track closes; flasher 1
+        # enters later on the same track id and must decode its own word
+        def knot(t, tx):
+            return {
+                "t_s": t,
+                "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                "translation_m": [tx, 0.0, 4.0],
+            }
+
+        raw = cube_config(duration=3.0)
+        raw["flashers"] = raw["flashers"][:2]
+        raw["flashers"][0]["position_m"] = [-1.5, 0.5, 0.0]
+        raw["flashers"][1]["position_m"] = [3.0, 0.5, 0.0]
+        raw["camera"]["intrinsics"] = {
+            "fx_px": 100.0, "fy_px": 100.0, "cx_px": 50.0, "cy_px": 50.0,
+            "image_size": [100, 100],
+        }
+        raw["trajectory"] = [knot(0.0, 0.0), knot(1.0, 0.0), knot(1.5, -1.5)]
+        raw["codebook"] = {"bits": 8, "mode": "robust"}
+        report = run(ScenarioConfig.from_dict(raw))
+        leaver, newcomer = report.per_flasher
+        assert leaver["locked_identifier"] == leaver["identifier"]
+        assert newcomer["identifier_decoded"] == newcomer["identifier"]
+        assert newcomer["locked_identifier"] == newcomer["identifier"]
+        gone = [f for f in report.per_frame if f["detections"] == 0]
+        assert gone, "the two flashers must not overlap in time"
+        after = [f for f in report.per_frame if f["frame"] > gone[-1]["frame"]]
+        assert all(leaver["identifier"] not in f["identified"] for f in after)
+
+    def test_hue_noise_key_produces_flips(self):
+        raw = cube_config()
+        raw["noise"] = {"hue_sigma": 60.0}
+        report = run(ScenarioConfig.from_dict(raw))
+        assert sum(fl["flips"] for fl in report.per_flasher) > 0
+
     def test_report_round_trips_through_json(self):
         report = run(ScenarioConfig.from_dict(cube_config()))
         again = json.loads(report.to_json())
@@ -158,6 +201,16 @@ class TestScenarioConfig:
         ]
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("period", [None, 0.0, -1.0, float("nan"), float("inf")])
+    def test_enabled_heartbeat_needs_positive_period(self, period):
+        raw = cube_config()
+        raw["heartbeat"] = {"enabled": True, "timeout_s": 1.0}
+        if period is not None:
+            raw["heartbeat"]["period_s"] = period
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert "heartbeat.period_s" in str(exc.value)
 
     def test_explicit_ids_honoured(self):
         raw = cube_config()
@@ -264,3 +317,16 @@ class TestCli:
         scn.write_text(json.dumps(dict(cube_config(), duration_s=-1)))
         assert cli.main(["simulate", "--scenario", str(scn)]) == 2
         assert "duration_s" in capsys.readouterr().err
+
+    def test_simulate_zero_heartbeat_period_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a run would never end; reaching it fails the test instead
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run() reached with a zero heartbeat period")
+
+        monkeypatch.setattr(cli.scenario, "run", must_not_run)
+        raw = cube_config()
+        raw["heartbeat"] = {"enabled": True, "period_s": 0}
+        scn = tmp_path / "hb.json"
+        scn.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+        assert "heartbeat.period_s" in capsys.readouterr().err
