@@ -59,8 +59,8 @@ class SensorTiming:
     def __post_init__(self):
         if self.kind not in SENSOR_KINDS:
             raise ValueError(f"sensor kind must be one of {SENSOR_KINDS}")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps < math.inf:
+            raise ValueError("fps must be positive and finite")
         if self.kind == "cmos" and self.rows * self.row_readout > 1.0 / self.fps + 1e-12:
             raise ValueError("row readout sweep cannot exceed the frame period")
 

@@ -12,6 +12,9 @@ single-error corruption (bit flip, adjacent duplication, deletion) of
 every rotation, so a sampled window that suffered one such error still
 resolves to the right identifier. Classes whose corruption sets collide
 with an earlier class are dropped by a greedy pass.
+Neither flavour is built one class at a time: the initial table is
+closed-form and the robust pass checks classes in blocks (see
+`_generate` for why both give the greedy result exactly).
 
 Words are handled as plain integers (most significant bit first) and
 variant sets of differing lengths share one index space by integer
@@ -197,8 +200,9 @@ def _variant_block(rots: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _canonical_reps(n: int) -> np.ndarray:
-    """Canonical representative (min rotation) of every class, ascending.
+def _canonical_reps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical representative (min rotation) of every class, ascending,
+    and the min rotation of every n-bit value, indexed by value.
 
     Running minimum over rotations keeps peak memory at two arrays of
     2^n rather than the full (2^n, n) rotation matrix.
@@ -209,7 +213,17 @@ def _canonical_reps(n: int) -> np.ndarray:
     for _ in range(n - 1):
         rot = ((rot << 1) & mask) | (rot >> (n - 1))
         np.minimum(rot_min, rot, out=rot_min)
-    return np.flatnonzero(np.arange(1 << n, dtype=np.int64) == rot_min)
+    return np.flatnonzero(np.arange(1 << n, dtype=np.int64) == rot_min), rot_min
+
+
+def _robust_claims(reps: np.ndarray, n: int) -> np.ndarray:
+    """Rotations and their single-error variants, one row per class."""
+    rots = _rotations_array(reps, n)
+    return np.concatenate([rots, _variant_block(rots, n)], axis=1)
+
+
+# Claim slots checked per block of robust classes; bounds memory at any n.
+CLAIM_BLOCK_ENTRIES = 1 << 16
 
 
 def _generate(n: int, mode: str) -> tuple[Codebook, LookupTable]:
@@ -223,30 +237,38 @@ def _generate(n: int, mode: str) -> tuple[Codebook, LookupTable]:
     blocks their corruption neighbourhoods, and are struck from the
     book afterwards: their slots are zeroed and the surviving words are
     renumbered in ascending canonical order.
+
+    Clean rotations of distinct classes never meet, so in initial mode
+    every class is accepted: a value's identifier is the rank of its
+    min rotation. In robust mode one gather per block of classes drops
+    the rows already blocked by earlier blocks; taken slots stay taken,
+    so the greedy pass would drop them too. The rest are rechecked and
+    accepted in order, which sees earlier rows of the same block.
     """
     table = np.zeros(1 << (n + 1), dtype=np.uint32)
-    reps = _canonical_reps(n)
-    accepted: list[int] = []
+    reps, rot_min = _canonical_reps(n)
 
-    for rep in reps.tolist():
-        rots = _rotations_array(np.array([rep], dtype=np.int64), n)
-        claim = rots.ravel()
-        if mode == "robust":
-            claim = np.concatenate([claim, _variant_block(rots, n).ravel()])
-        claim = np.unique(claim)
-        if table[claim].any():
-            continue
-        accepted.append(rep)
-        table[claim] = len(accepted)
+    if mode == "initial":
+        table[: 1 << n] = np.searchsorted(reps, rot_min) + 1
+        accepted = reps
+    else:
+        taken: list[int] = []
+        rows = max(1, CLAIM_BLOCK_ENTRIES // (n + 3 * n * n))
+        for lo in range(0, len(reps), rows):
+            block = reps[lo : lo + rows]
+            claims = _robust_claims(block, n)
+            for i in np.flatnonzero(~table[claims].any(axis=1)).tolist():
+                if not table[claims[i]].any():
+                    taken.append(int(block[i]))
+                    table[claims[i]] = len(taken)
+        accepted = np.array(taken, dtype=np.int64)
 
-    trivial = {0, (1 << n) - 1}
-    keep = [(i + 1, rep) for i, rep in enumerate(accepted) if rep not in trivial]
+    keep = (accepted != 0) & (accepted != (1 << n) - 1)
     remap = np.zeros(len(accepted) + 1, dtype=np.uint32)
-    for new_id, (old_id, _) in enumerate(keep, start=1):
-        remap[old_id] = new_id
+    remap[1:][keep] = np.arange(1, np.count_nonzero(keep) + 1)
     table = remap[table]
 
-    words = [BitWord(rep, n) for _, rep in keep]
+    words = [BitWord(rep, n) for rep in accepted[keep].tolist()]
     return Codebook(n, mode, words), LookupTable(n, mode, table)
 
 
@@ -264,12 +286,6 @@ def generate_robust_codebook(n: int) -> tuple[Codebook, LookupTable]:
     return _generate(n, "robust")
 
 
-def _class_claims(rep: int, n: int) -> frozenset[int]:
-    rots = _rotations_array(np.array([rep], dtype=np.int64), n)
-    claim = np.concatenate([rots.ravel(), _variant_block(rots, n).ravel()])
-    return frozenset(claim.tolist())
-
-
 def brute_force_max_codebook(n: int) -> int:
     """Size of a maximum mutually-non-overlapping class set, exactly.
 
@@ -284,8 +300,9 @@ def brute_force_max_codebook(n: int) -> int:
     import networkx as nx
 
     trivial = {0, (1 << n) - 1}
-    reps = [r for r in _canonical_reps(n).tolist() if r not in trivial]
-    claims = {r: _class_claims(r, n) for r in reps}
+    reps = [r for r in _canonical_reps(n)[0].tolist() if r not in trivial]
+    rows = _robust_claims(np.array(reps, dtype=np.int64), n)
+    claims = {r: frozenset(row.tolist()) for r, row in zip(reps, rows)}
     graph = nx.Graph()
     graph.add_nodes_from(reps)
     for i, a in enumerate(reps):

@@ -73,20 +73,24 @@ class ScenarioConfig:
         errors: list[str] = []
 
         def need(container, key, kind, path, default=None, required=True):
+            name = f"{path}.{key}" if path else key
             if key not in container:
                 if required:
-                    errors.append(f"{path}.{key}: missing")
+                    errors.append(f"{name}: missing")
                 return default
             value = container[key]
             if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
+                if math.isfinite(value):
+                    return float(value)
+                errors.append(f"{name}: must be finite")
+                return default
             if kind is int and isinstance(value, int) and not isinstance(value, bool):
                 return value
             if kind is bool and isinstance(value, bool):
                 return value
             if kind in (list, dict, str) and isinstance(value, kind):
                 return value
-            errors.append(f"{path}.{key}: expected {kind.__name__}")
+            errors.append(f"{name}: expected {kind.__name__}")
             return default
 
         flashers = []
@@ -166,8 +170,12 @@ class ScenarioConfig:
         hb_enabled = bool(hb.get("enabled", False))
         hb_period = need(hb, "period_s", float, "heartbeat", required=hb_enabled)
         # a pulse period that is not positive would never advance the pulse loop
-        if hb_enabled and hb_period is not None and not (math.isfinite(hb_period) and hb_period > 0):
-            errors.append("heartbeat.period_s: must be positive and finite when enabled")
+        if hb_enabled and hb_period is not None and hb_period <= 0:
+            errors.append("heartbeat.period_s: must be positive when enabled")
+        # omitted, emitters never sleep; 0 is a real timeout, not "unset"
+        hb_timeout = need(hb, "timeout_s", float, "heartbeat", default=math.inf, required=False)
+        if hb_timeout < 0:
+            errors.append("heartbeat.timeout_s: must not be negative")
         noise = raw.get("noise", {})
         book = raw.get("codebook", {})
         mode = need(book, "mode", str, "codebook", default="robust")
@@ -175,7 +183,7 @@ class ScenarioConfig:
             errors.append("codebook.mode: expected initial or robust")
         bits = need(book, "bits", int, "codebook", default=12)
 
-        duration = need(raw, "duration_s", float, "", default=0.0)
+        duration = need(raw, "duration_s", float, "")
         if duration is not None and duration <= 0:
             errors.append("duration_s: must be positive")
         seed = need(raw, "seed", int, "")
@@ -192,7 +200,7 @@ class ScenarioConfig:
             trajectory=trajectory,
             heartbeat_enabled=hb_enabled,
             heartbeat_period_s=hb_period or 0.0,
-            heartbeat_timeout_s=float(hb.get("timeout_s", math.inf) or math.inf),
+            heartbeat_timeout_s=hb_timeout,
             intensity_sigma=float(noise.get("intensity_sigma", 0.0)),
             hue_sigma=float(noise.get("hue_sigma", 0.0)),
             pixel_sigma=float(noise.get("pixel_sigma", 0.0)),

@@ -5,6 +5,7 @@ one line on the real terminal (bypassing capture) before asserting, so
 a full run always shows the per-criterion verdicts.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -82,6 +83,32 @@ TRADEOFF_TABLE = {
 }
 
 MAX_SIZE_N4_TO_N8 = {4: 1, 5: 2, 6: 2, 7: 2, 8: 4}
+
+# robust books n=17..21, too slow for the one-class-at-a-time reference in
+# test_codebook: sha256 of lut.entries.tobytes() (little-endian uint32) and
+# of the words joined by "," as bit strings, computed with that pass
+LARGE_BOOK_DIGESTS = {
+    17: (
+        "d2454f93654bba4e7d8b07ffc4307ba5631157cf64c9ab38e27af273fc3458eb",
+        "1b23ac5454459f1eccb6c059237b3445f7e2151488d5c0f0df7b712c5724ca72",
+    ),
+    18: (
+        "46b2a9f9bdee1ac0e60cbc942f7021f4dde45ced4baea9b1d72545ff92242934",
+        "efaf8206f7ee8523cab1fa7ae26870e4ccc50c3d1f6490aac14842b4b2ce5324",
+    ),
+    19: (
+        "64175840fd76bcabac9f415fe79210eb9b99f95e14989cf3fbb2c8bb8dce77ea",
+        "372b198f8e17810d02e22bd45485dca1a22c6363befd992bb46c1d09742e02cb",
+    ),
+    20: (
+        "a048494132c05dc7335815e98b7ff930ccc856f312a6c58185d758352a145f7e",
+        "cf577e9c74c81492c362bd0af1d1e4535c24ebcfe709c9740253598d4eb25eed",
+    ),
+    21: (
+        "a743016fe646a94c36e1ca368f45c70a30d13a91a3ddbfca21b499779afffeeb",
+        "53ce353319f2158e95f2b385b046ceda80c6f4ae24a99f70ca036c5327ea9335",
+    ),
+}
 
 
 @pytest.fixture
@@ -295,6 +322,14 @@ def test_criterion_06_robust_sizes_against_reference(criterion, tradeoff_books):
         )
 
     criterion(6, body)
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_BOOK_DIGESTS))
+def test_large_robust_books_match_pinned_digests(n, tradeoff_books):
+    book, lut = tradeoff_books[n]
+    entries = hashlib.sha256(lut.entries.tobytes()).hexdigest()
+    words = hashlib.sha256(",".join(str(w) for w in book.words).encode()).hexdigest()
+    assert (entries, words) == LARGE_BOOK_DIGESTS[n]
 
 
 def test_criterion_07_heartbeat_bounds_desync(criterion):

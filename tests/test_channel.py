@@ -106,6 +106,11 @@ class TestSensorTiming:
         with pytest.raises(ValueError):
             SensorTiming("foveon", fps=30.0)
 
+    @pytest.mark.parametrize("fps", [0.0, -30.0, float("nan"), float("inf")])
+    def test_fps_must_be_positive_and_finite(self, fps):
+        with pytest.raises(ValueError, match="fps"):
+            SensorTiming("ccd", fps=fps)
+
 
 class TestSampleStream:
     @staticmethod

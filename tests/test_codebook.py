@@ -1,10 +1,13 @@
 """Code-book construction: necklace counts, frozen reference tables, claims."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashtrack import codebook
 from flashtrack.codebook import (
     BitWord,
     brute_force_max_codebook,
@@ -55,6 +58,66 @@ def brute_force_class_count(n: int) -> int:
         seen.update(r.value for r in word.rotations())
         classes += 1
     return classes - 2
+
+
+def reference_generate(n: int, mode: str) -> tuple[list[int], np.ndarray]:
+    """One-class-at-a-time greedy pass: (canonical values, table entries).
+
+    Visits the classes in ascending canonical order, checks each claim
+    set against the table alone and writes it on acceptance, then strikes
+    the two trivial classes and renumbers. The block builder in
+    flashtrack.codebook must reproduce it exactly.
+    """
+    mask = (1 << n) - 1
+    reps = [
+        v for v in range(1 << n)
+        if all(v <= (((v << k) & mask) | (v >> (n - k))) for k in range(1, n))
+    ]
+    table = np.zeros(1 << (n + 1), dtype=np.uint32)
+    accepted: list[int] = []
+    for rep in reps:
+        rots = codebook._rotations_array(np.array([rep], dtype=np.int64), n)
+        claim = rots.ravel()
+        if mode == "robust":
+            claim = np.concatenate([claim, codebook._variant_block(rots, n).ravel()])
+        claim = np.unique(claim)
+        if table[claim].any():
+            continue
+        accepted.append(rep)
+        table[claim] = len(accepted)
+
+    trivial = {0, mask}
+    keep = [(i + 1, rep) for i, rep in enumerate(accepted) if rep not in trivial]
+    remap = np.zeros(len(accepted) + 1, dtype=np.uint32)
+    for new_id, (old_id, _) in enumerate(keep, start=1):
+        remap[old_id] = new_id
+    return [rep for _, rep in keep], remap[table]
+
+
+def assert_matches_reference(n, mode, ref_words, ref_table):
+    gen = generate_robust_codebook if mode == "robust" else generate_initial_codebook
+    book, lut = gen(n)
+    assert [w.value for w in book.words] == ref_words
+    assert lut.entries.dtype == ref_table.dtype
+    assert np.array_equal(lut.entries, ref_table)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_initial_equals_reference(self, n):
+        assert_matches_reference(n, "initial", *reference_generate(n, "initial"))
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_robust_equals_reference(self, n, monkeypatch):
+        ref = reference_generate(n, "robust")
+        assert_matches_reference(n, "robust", *ref)
+        if n <= 12:
+            # one class per block: every acceptance goes through the block gather
+            monkeypatch.setattr(codebook, "CLAIM_BLOCK_ENTRIES", 1)
+            assert_matches_reference(n, "robust", *ref)
+            # one block for all classes: every acceptance goes through the recheck
+            monkeypatch.setattr(codebook, "CLAIM_BLOCK_ENTRIES", sys.maxsize)
+            assert_matches_reference(n, "robust", *ref)
 
 
 class TestBitWord:

@@ -1,6 +1,7 @@
 """End-to-end scenario runs and the command-line surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,6 +213,32 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(raw)
         assert "heartbeat.period_s" in str(exc.value)
 
+    def test_heartbeat_timeout_zero_stays_zero(self):
+        raw = cube_config()
+        assert ScenarioConfig.from_dict(raw).heartbeat_timeout_s == math.inf
+        raw["heartbeat"] = {"enabled": True, "period_s": 1.0, "timeout_s": 0}
+        assert ScenarioConfig.from_dict(raw).heartbeat_timeout_s == 0.0
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+    def test_heartbeat_timeout_negative_or_nan_rejected(self, timeout):
+        raw = cube_config()
+        raw["heartbeat"] = {"enabled": True, "period_s": 1.0, "timeout_s": timeout}
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert "heartbeat.timeout_s" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "duration,fps", [(float("nan"), float("nan")), (float("inf"), float("inf"))]
+    )
+    def test_non_finite_fields_named_in_one_error(self, duration, fps):
+        raw = cube_config(duration=duration)
+        raw["camera"]["sensor"]["fps"] = fps
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        msg = str(exc.value)
+        assert "duration_s: must be finite" in msg
+        assert "camera.sensor.fps: must be finite" in msg
+
     def test_explicit_ids_honoured(self):
         raw = cube_config()
         raw["flashers"][0]["id"] = 5
@@ -330,3 +357,13 @@ class TestCli:
         scn.write_text(json.dumps(raw))
         assert cli.main(["simulate", "--scenario", str(scn)]) == 2
         assert "heartbeat.period_s" in capsys.readouterr().err
+
+    def test_simulate_nan_duration_exits_2(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run() reached with a NaN duration")
+
+        monkeypatch.setattr(cli.scenario, "run", must_not_run)
+        scn = tmp_path / "nan.json"
+        scn.write_text(json.dumps(cube_config(duration=float("nan"))))
+        assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+        assert "duration_s" in capsys.readouterr().err
