@@ -21,17 +21,14 @@ insertion/deletion errors the robust code-book absorbs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import BitWord
-from .signal import FlashSample, SampleTrace
+from .signal import HUE_HIGH_DEG, HUE_LOW_DEG, FlashSample, SampleTrace
 
 SENSOR_KINDS = ("cmos", "ccd")
-
-POWER_ACTIVE = "active"
-POWER_LOW = "low_power"
 
 
 @dataclass(frozen=True)
@@ -67,17 +64,20 @@ class SensorTiming:
 
 @dataclass
 class EmitterState:
-    """One flasher: its word, bit clock, and power state."""
+    """One flasher: its word and bit clock."""
 
     word: BitWord
     bit_period: float
     clock: ClockModel
-    power: str = POWER_ACTIVE
 
     def bit_at_local(self, tau: float) -> tuple[int, int]:
         """(bit index, bit value) lit at flasher-local time tau."""
         index = math.floor(tau / self.bit_period)
         return index, self.word.bits[index % self.word.n]
+
+    def bit_at(self, shared_t: float) -> tuple[int, int]:
+        """(bit index, bit value) lit at shared-timeline instant shared_t."""
+        return self.bit_at_local(self.clock.local_time(shared_t))
 
 
 def sync_interval(delta_max: float, rho_max_ppm: float) -> float:
@@ -112,6 +112,20 @@ def heartbeat_expired(clock: ClockModel, true_time: float, timeout: float) -> bo
     return true_time - clock.last_heartbeat > timeout
 
 
+def sample_time(
+    sensor: SensorTiming, tracker_clock: ClockModel, frame: int, row: float = 0.0
+) -> float:
+    """Shared-timeline instant at which one frame exposes one image row.
+
+    The exposure is scheduled on the tracker clock; a rolling shutter
+    delays each row by its readout time, a global shutter ignores row.
+    """
+    schedule = frame * (1.0 / sensor.fps) + sensor.exposure_mid
+    if sensor.kind == "cmos":
+        schedule += row * sensor.row_readout
+    return tracker_clock.local_time(schedule)
+
+
 def sample_stream(
     emitter: EmitterState,
     sensor: SensorTiming,
@@ -122,26 +136,19 @@ def sample_stream(
     """Sample one flasher through the tracker sensor for a time span.
 
     row_trajectory maps frame number to the image row of the flash
-    (only consulted for rolling shutter). The tracker schedule runs on
-    the tracker clock; scheduled times are scaled through that clock's
-    rate onto the shared timeline, then through the emitter clock to
-    pick the lit bit. Returns (shared time, bit index, bit value) per
-    frame. Consecutive equal indices are an insertion (the same bit
-    sampled twice), gaps are deletions.
+    (only consulted for rolling shutter). Each frame's sample_time is
+    read through the emitter clock to pick the lit bit. Returns (shared
+    time, bit index, bit value) per frame. Consecutive equal indices
+    are an insertion (the same bit sampled twice), gaps are deletions.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     out = []
     frame = 0
-    period = 1.0 / sensor.fps
-    while frame * period <= duration:
-        schedule = frame * period + sensor.exposure_mid
-        if sensor.kind == "cmos":
-            schedule += float(row_trajectory(frame)) * sensor.row_readout
-        shared = tracker_clock.local_time(schedule)
-        tau = emitter.clock.local_time(shared)
-        index, bit = emitter.bit_at_local(tau)
-        out.append((shared, index, bit))
+    while frame * (1.0 / sensor.fps) <= duration:
+        row = float(row_trajectory(frame)) if sensor.kind == "cmos" else 0.0
+        shared = sample_time(sensor, tracker_clock, frame, row)
+        out.append((shared, *emitter.bit_at(shared)))
         frame += 1
     return out
 
@@ -162,6 +169,36 @@ DEFAULT_HIGH = 100.0
 DEFAULT_LOW = 20.0
 
 
+def render_sample(
+    bit: int,
+    scheme: str,
+    rng: np.random.Generator,
+    intensity_sigma: float = 0.0,
+    hue_sigma: float = 0.0,
+    scale: float = 1.0,
+    high: float = DEFAULT_HIGH,
+    low: float = DEFAULT_LOW,
+) -> tuple[float, float]:
+    """(intensity, hue) of one flash showing bit.
+
+    Intensity scheme: the bit's level times scale plus Gaussian level
+    noise, at hue 0. Hue scheme: red or blue reference hue plus Gaussian
+    hue noise, at the high level times scale. Noise is drawn from rng
+    only when its sigma is nonzero.
+    """
+    if scheme == "intensity":
+        level = (high if bit else low) * scale
+        if intensity_sigma:
+            level += rng.normal(0.0, intensity_sigma)
+        return level, 0.0
+    if scheme != "hue":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    hue = HUE_HIGH_DEG if bit else HUE_LOW_DEG
+    if hue_sigma:
+        hue += rng.normal(0.0, hue_sigma)
+    return high * scale, hue % 360.0
+
+
 def render_samples(
     bits,
     scheme: str,
@@ -177,28 +214,15 @@ def render_samples(
 ) -> SampleTrace:
     """Turn (time, bit) pairs into photometric samples.
 
-    Intensity scheme: bit levels scaled by inverse square distance with
-    Gaussian level noise. Hue scheme: red or blue reference hue with
-    Gaussian hue noise and a constant intensity at the high level.
+    Each sample is render_sample with levels scaled by inverse square
+    distance.
     """
-    if scheme not in ("hue", "intensity"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     if distance <= 0:
         raise ValueError("distance must be positive")
-    from .signal import HUE_HIGH_DEG, HUE_LOW_DEG
-
     scale = 1.0 / (distance * distance)
     trace = SampleTrace(track_id)
     for k, (t, bit) in enumerate(bits):
         pixel = tuple(pixels[k]) if pixels is not None else (0.0, 0.0)
-        if scheme == "intensity":
-            level = (high if bit else low) * scale
-            if intensity_sigma:
-                level += rng.normal(0.0, intensity_sigma)
-            trace.append(FlashSample(t, level, 0.0, pixel))
-        else:
-            hue = HUE_HIGH_DEG if bit else HUE_LOW_DEG
-            if hue_sigma:
-                hue += rng.normal(0.0, hue_sigma)
-            trace.append(FlashSample(t, high * scale, hue % 360.0, pixel))
+        level, hue = render_sample(bit, scheme, rng, intensity_sigma, hue_sigma, scale, high, low)
+        trace.append(FlashSample(t, level, hue, pixel))
     return trace

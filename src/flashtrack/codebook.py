@@ -293,7 +293,8 @@ def brute_force_max_codebook(n: int) -> int:
     single-error variants) intersect. The maximum independent set of
     the overlap graph is found as a maximum clique of its complement.
     Exponential in the worst case; fine at this scale, hopeless much
-    above n=14.
+    above n=14. A test oracle: it needs networkx, which only the test
+    extra installs (pip install -e ".[test]").
     """
     if not 4 <= n <= 10:
         raise ValueError(f"n={n} out of range [4, 10]")

@@ -181,7 +181,9 @@ def indel_distance(a, b) -> int:
     return len(xa) + len(xb) - 2 * prev[-1]
 
 
-def assign_ids(positions, visibility_radius: float, cb: Codebook) -> dict[int, int]:
+def assign_ids(
+    positions, visibility_radius: float, cb: Codebook, candidates=None
+) -> dict[int, int]:
     """Greedy identifier assignment spreading edit distance locally.
 
     Flashers are processed in order; each takes the unused identifier
@@ -189,15 +191,17 @@ def assign_ids(positions, visibility_radius: float, cb: Codebook) -> dict[int, i
     by flashers within visibility_radius. Distant flashers impose no
     constraint, so close code pairs may be reused across rooms. Ties
     break toward the lowest identifier, so the first flasher gets 1.
+    candidates restricts the pool to those identifiers (all of
+    1..len(cb) when None), so the first flasher gets the lowest of them.
     """
     import numpy as np
 
     pts = [np.asarray(p, dtype=float) for p in positions]
-    if len(pts) > len(cb):
-        raise ValueError(f"{len(pts)} flashers but only {len(cb)} code-words")
+    free = sorted(range(1, len(cb) + 1) if candidates is None else set(candidates))
+    if len(pts) > len(free):
+        raise ValueError(f"{len(pts)} flashers but only {len(free)} code-words")
 
     assigned: dict[int, int] = {}
-    free = list(range(1, len(cb) + 1))
     for i, p in enumerate(pts):
         neighbours = [
             assigned[j]

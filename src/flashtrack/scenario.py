@@ -2,23 +2,26 @@
 
 A scenario file describes flashers (positions, codes, clocks), the
 camera (intrinsics, sensor timing, clock), a camera trajectory,
-heartbeat settings, noise levels, and the code-book to use. Running it
-plays the whole pipeline per frame: flash bits are sampled through the
-drifting clocks, rendered to photometric samples, detected, associated
-into tracks, classified back into bits, stream-decoded, and finally
-fed to pose recovery against the known flasher map. The report records
-per-flasher lock-on and error events, per-frame detections and pose
-errors against ground truth, and summary statistics.
+heartbeat settings, noise levels, and the code-book to use. `run`
+composes the library per frame: `channel` samples and renders each
+flash bit through the drifting clocks, `signal` tracks the detections
+and classifies them back into bits, `codec` assigns and decodes the
+identifiers, and `pose` recovers the camera from the flasher map. The
+report records per-flasher lock-on and error events, per-frame
+detections and pose errors against ground truth, and summary statistics.
 
 Detections are synthesized directly at the projected flash pixels
-(plus configured pixel noise) rather than rasterized into frames; blob
-extraction has its own tests against rendered frames. One seed drives
-all randomness, so a rerun of the same config is byte-identical.
+(plus configured pixel noise) rather than rasterized into frames; each
+carries its flasher's index, so ground truth follows the flasher even
+where two share a pixel. One seed drives all randomness, so a rerun of
+the same config is byte-identical.
 
 A flasher is counted as identified at its track's first nonzero decode
 vote, which for a clean stream happens exactly one code cycle after
 first sight; the stricter agreement-run lock of the stream decoder is
-reported alongside.
+reported alongside. By choice, samples keep the at-sensor levels that
+the noise sigmas are stated against (render scale 1, no 1/d^2 fall-off),
+and bits lit while a flasher is out of view count as deletions.
 """
 
 from __future__ import annotations
@@ -31,12 +34,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, codec, pose as pose_mod, signal
-from .codebook import BitWord, generate_initial_codebook, generate_robust_codebook
+from .codebook import generate_initial_codebook, generate_robust_codebook
 from .pose import CameraIntrinsics, Pose
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message lists offending fields."""
+
+
+#: the keys each config section may hold; any other key is a ConfigError
+CONFIG_KEYS = {
+    "": {"flashers", "camera", "trajectory", "heartbeat", "noise", "codebook", "duration_s",
+         "seed", "visibility_radius_m", "gating_radius_px"},
+    "flashers[]": {"id", "position_m", "scheme", "clock_ppm", "bit_period_s"},
+    "camera": {"intrinsics", "sensor", "clock_ppm"},
+    "camera.intrinsics": {"fx_px", "fy_px", "cx_px", "cy_px", "image_size"},
+    "camera.sensor": {"kind", "fps", "rows", "row_readout_s", "exposure_mid_s"},
+    "trajectory[]": {"t_s", "rotation", "translation_m"},
+    "heartbeat": {"enabled", "period_s", "timeout_s"},
+    "noise": {"intensity_sigma", "hue_sigma", "pixel_sigma"},
+    "codebook": {"bits", "mode"},
+}
+#: most frames one run may play, floor(duration_s * fps) + 1
+MAX_FRAMES = 1_000_000
 
 
 @dataclass
@@ -93,9 +113,20 @@ class ScenarioConfig:
             errors.append(f"{name}: expected {kind.__name__}")
             return default
 
+        def section(container, path, table=None):
+            """container, or {} if it is no dict; keys not in CONFIG_KEYS are errors."""
+            if not isinstance(container, dict):
+                errors.append(f"{path or 'scenario'}: expected dict")
+                return {}
+            for key in sorted(set(container) - CONFIG_KEYS[table or path], key=str):
+                errors.append(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+            return container
+
+        raw = section(raw, "")
         flashers = []
         for i, f in enumerate(raw.get("flashers", [])):
             path = f"flashers[{i}]"
+            f = section(f, path, "flashers[]")
             position = need(f, "position_m", list, path, default=[0, 0, 0])
             if len(position) != 3:
                 errors.append(f"{path}.position_m: expected 3 values")
@@ -112,7 +143,7 @@ class ScenarioConfig:
                 FlasherSpec(
                     np.asarray(position, dtype=float),
                     scheme,
-                    need(f, "clock_ppm", float, path, default=0.0, required=False) or 0.0,
+                    need(f, "clock_ppm", float, path, default=0.0, required=False),
                     bit_period or 1.0,
                     ident if isinstance(ident, int) else None,
                 )
@@ -120,8 +151,9 @@ class ScenarioConfig:
         if flashers and len({f.scheme for f in flashers}) > 1:
             errors.append("flashers: all flashers must share one scheme")
 
-        cam = raw.get("camera", {})
-        intr = cam.get("intrinsics", {})
+        cam = section(raw.get("camera", {}), "camera")
+        camera_ppm = need(cam, "clock_ppm", float, "camera", default=0.0, required=False)
+        intr = section(cam.get("intrinsics", {}), "camera.intrinsics")
         intrinsics = None
         try:
             intrinsics = CameraIntrinsics(
@@ -134,17 +166,15 @@ class ScenarioConfig:
         except (ValueError, TypeError) as exc:
             errors.append(f"camera.intrinsics: {exc}")
 
-        sen = cam.get("sensor", {})
+        sen = section(cam.get("sensor", {}), "camera.sensor")
         sensor = None
         try:
             sensor = channel.SensorTiming(
                 need(sen, "kind", str, "camera.sensor", default="ccd"),
                 need(sen, "fps", float, "camera.sensor", default=30.0),
                 need(sen, "rows", int, "camera.sensor", default=1, required=False) or 1,
-                need(sen, "row_readout_s", float, "camera.sensor", default=0.0, required=False)
-                or 0.0,
-                need(sen, "exposure_mid_s", float, "camera.sensor", default=0.0, required=False)
-                or 0.0,
+                need(sen, "row_readout_s", float, "camera.sensor", default=0.0, required=False),
+                need(sen, "exposure_mid_s", float, "camera.sensor", default=0.0, required=False),
             )
         except (ValueError, TypeError) as exc:
             errors.append(f"camera.sensor: {exc}")
@@ -152,6 +182,7 @@ class ScenarioConfig:
         trajectory = []
         for i, knot in enumerate(raw.get("trajectory", [])):
             path = f"trajectory[{i}]"
+            knot = section(knot, path, "trajectory[]")
             t = need(knot, "t_s", float, path, default=0.0)
             rot = need(knot, "rotation", list, path, default=list(np.eye(3).ravel()))
             trans = need(knot, "translation_m", list, path, default=[0, 0, 0])
@@ -166,8 +197,8 @@ class ScenarioConfig:
         elif any(b[0] <= a[0] for a, b in zip(trajectory, trajectory[1:])):
             errors.append("trajectory: knot times must be strictly increasing")
 
-        hb = raw.get("heartbeat", {})
-        hb_enabled = bool(hb.get("enabled", False))
+        hb = section(raw.get("heartbeat", {}), "heartbeat")
+        hb_enabled = need(hb, "enabled", bool, "heartbeat", default=False, required=False)
         hb_period = need(hb, "period_s", float, "heartbeat", required=hb_enabled)
         # a pulse period that is not positive would never advance the pulse loop
         if hb_enabled and hb_period is not None and hb_period <= 0:
@@ -176,8 +207,18 @@ class ScenarioConfig:
         hb_timeout = need(hb, "timeout_s", float, "heartbeat", default=math.inf, required=False)
         if hb_timeout < 0:
             errors.append("heartbeat.timeout_s: must not be negative")
-        noise = raw.get("noise", {})
-        book = raw.get("codebook", {})
+        noise = section(raw.get("noise", {}), "noise")
+        floats = {}
+        for key in ("intensity_sigma", "hue_sigma", "pixel_sigma"):
+            floats[key] = need(noise, key, float, "noise", default=0.0, required=False)
+            if floats[key] < 0:
+                errors.append(f"noise.{key}: must not be negative")
+        # omitted, the visibility radius is unbounded
+        for key, default in (("visibility_radius_m", math.inf), ("gating_radius_px", 20.0)):
+            floats[key] = need(raw, key, float, "", default=default, required=False)
+            if floats[key] <= 0:
+                errors.append(f"{key}: must be positive")
+        book = section(raw.get("codebook", {}), "codebook")
         mode = need(book, "mode", str, "codebook", default="robust")
         if mode not in ("initial", "robust"):
             errors.append("codebook.mode: expected initial or robust")
@@ -186,6 +227,8 @@ class ScenarioConfig:
         duration = need(raw, "duration_s", float, "")
         if duration is not None and duration <= 0:
             errors.append("duration_s: must be positive")
+        elif duration is not None and sensor is not None and duration * sensor.fps >= MAX_FRAMES:
+            errors.append(f"duration_s: more than {MAX_FRAMES} frames at {sensor.fps:g} fps")
         seed = need(raw, "seed", int, "")
 
         if errors:
@@ -195,21 +238,16 @@ class ScenarioConfig:
             flashers=flashers,
             intrinsics=intrinsics,
             sensor=sensor,
-            camera_clock_ppm=need(cam, "clock_ppm", float, "camera", default=0.0, required=False)
-            or 0.0,
+            camera_clock_ppm=camera_ppm,
             trajectory=trajectory,
             heartbeat_enabled=hb_enabled,
             heartbeat_period_s=hb_period or 0.0,
             heartbeat_timeout_s=hb_timeout,
-            intensity_sigma=float(noise.get("intensity_sigma", 0.0)),
-            hue_sigma=float(noise.get("hue_sigma", 0.0)),
-            pixel_sigma=float(noise.get("pixel_sigma", 0.0)),
             codebook_bits=bits,
             codebook_mode=mode,
             duration_s=duration,
             seed=seed,
-            visibility_radius_m=float(raw.get("visibility_radius_m", math.inf)),
-            gating_radius_px=float(raw.get("gating_radius_px", 20.0)),
+            **floats,
         )
 
 
@@ -247,9 +285,22 @@ class _TrackState:
     bitizer: object
     decoder: codec.StreamDecoder
     truth_bits: deque = field(default_factory=lambda: deque(maxlen=64))
-    flasher: int | None = None
-    lock_frame: int | None = None
-    lock_time: float | None = None
+    voted: bool = False
+
+
+@dataclass
+class _FlasherState:
+    """Ground truth and outcome of one flasher over a run."""
+
+    indices: list[int] = field(default_factory=list)  # bit index per sighting
+    bit: int = 0  # bit lit at the latest sighting
+    flips: int = 0
+    votes: int = 0
+    votes_ok: int = 0
+    lock_on_frame: int | None = None
+    lock_on_time_s: float | None = None
+    identifier_decoded: int | None = None
+    locked_identifier: int | None = None
 
 
 @dataclass
@@ -271,6 +322,10 @@ class ScenarioReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _rms(values: list[float]) -> float | None:
+    return math.sqrt(sum(v * v for v in values) / len(values)) if values else None
+
+
 def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     """Play a scenario frame by frame; deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
@@ -290,18 +345,11 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     for ident in taken:
         if not 1 <= ident <= len(book):
             raise ConfigError(f"flasher id {ident} outside 1..{len(book)}")
+    auto = [f.position for f in config.flashers if f.identifier is None]
+    free = set(range(1, len(book) + 1)) - taken
+    picks = iter(codec.assign_ids(auto, config.visibility_radius_m, book, free).values())
     # assigned identifiers stay local: the caller's config is left as given
-    identifiers = [f.identifier for f in config.flashers]
-    auto = [i for i, ident in enumerate(identifiers) if ident is None]
-    if auto:
-        sub_book_ids = [i for i in range(1, len(book) + 1) if i not in taken]
-        auto_positions = [config.flashers[i].position for i in auto]
-        # assign within the remaining identifiers, preserving greedy spacing
-        picks = _assign_remaining(
-            auto_positions, config.visibility_radius_m, book, sub_book_ids
-        )
-        for slot, ident in zip(auto, picks):
-            identifiers[slot] = ident
+    identifiers = [next(picks) if f.identifier is None else f.identifier for f in config.flashers]
 
     emitters = [
         channel.EmitterState(
@@ -311,6 +359,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     ]
     tracker_clock = channel.ClockModel(config.camera_clock_ppm)
     scheme = config.flashers[0].scheme if config.flashers else "hue"
+    bitizer = signal.HueBitizer if scheme == "hue" else signal.IntensityBitizer
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
     frame_period = 1.0 / config.sensor.fps
@@ -318,33 +367,16 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
 
     tracks: list[signal.SampleTrace] = []
     track_states: dict[int, _TrackState] = {}
-    last_index: dict[int, int] = {}
-    flasher_events = [
-        {"insertions": 0, "deletions": 0, "flips": 0} for _ in config.flashers
-    ]
-    flasher_lock: list[dict] = [
-        {"lock_on_frame": None, "lock_on_time_s": None, "identifier_decoded": None}
-        for _ in config.flashers
-    ]
-    votes_stats = [{"ok": 0, "total": 0} for _ in config.flashers]
-    locked_ids: list[int | None] = [None for _ in config.flashers]
+    flasher_states = [_FlasherState() for _ in config.flashers]
 
     heartbeats: list[dict] = []
     next_pulse = 0.0 if config.heartbeat_enabled else math.inf
 
     per_frame: list[dict] = []
-    pose_sq_err_t: list[float] = []
-    pose_sq_err_r: list[float] = []
     max_desync = 0.0
 
-    def bitizer_for(scheme_name: str):
-        if scheme_name == "hue":
-            return signal.HueBitizer()
-        return signal.IntensityBitizer(config.codebook_bits)
-
     for frame in range(n_frames):
-        base_schedule = frame * frame_period + config.sensor.exposure_mid
-        shared_base = tracker_clock.local_time(base_schedule)
+        shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
 
         # heartbeat pulses realign every clock's offset on the shared timeline
         while shared_base >= next_pulse:
@@ -359,20 +391,15 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
 
         clocks = [tracker_clock] + [em.clock for em in emitters]
         locals_now = [c.local_time(shared_base) for c in clocks]
-        if len(locals_now) > 1:
-            max_desync = max(max_desync, max(locals_now) - min(locals_now))
+        max_desync = max(max_desync, max(locals_now) - min(locals_now))
 
         # synthesize one detection per visible, active flasher
         detections: list[signal.Detection] = []
-        det_flasher: dict[tuple[float, float], tuple[int, int]] = {}
-        for k, (spec, em) in enumerate(zip(config.flashers, emitters)):
-            if config.heartbeat_enabled:
-                em.power = (
-                    channel.POWER_LOW
-                    if channel.heartbeat_expired(em.clock, shared_base, config.heartbeat_timeout_s)
-                    else channel.POWER_ACTIVE
-                )
-            if em.power != channel.POWER_ACTIVE:
+        for k, (spec, em, fs) in enumerate(zip(config.flashers, emitters, flasher_states)):
+            # an emitter that missed its heartbeat pulses sleeps
+            if config.heartbeat_enabled and channel.heartbeat_expired(
+                em.clock, shared_base, config.heartbeat_timeout_s
+            ):
                 continue
             cam_pt = truth_pose.transform(spec.position.reshape(1, 3))[0]
             if cam_pt[2] <= 0:
@@ -382,39 +409,19 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             if size is not None and not (0 <= row < size[0] and 0 <= col < size[1]):
                 continue
 
-            schedule = base_schedule
-            if config.sensor.kind == "cmos":
-                schedule += row * config.sensor.row_readout
-            shared_t = tracker_clock.local_time(schedule)
-            tau = em.clock.local_time(shared_t)
-            index, bit = em.bit_at_local(tau)
-
-            if k in last_index:
-                step = index - last_index[k]
-                if step == 0:
-                    flasher_events[k]["insertions"] += 1
-                elif step > 1:
-                    flasher_events[k]["deletions"] += step - 1
-            last_index[k] = index
-
-            if scheme == "intensity":
-                level = channel.DEFAULT_HIGH if bit else channel.DEFAULT_LOW
-                if config.intensity_sigma:
-                    level += rng.normal(0.0, config.intensity_sigma)
-                intensity, hue = level, 0.0
-            else:
-                hue = signal.HUE_HIGH_DEG if bit else signal.HUE_LOW_DEG
-                if config.hue_sigma:
-                    hue = (hue + rng.normal(0.0, config.hue_sigma)) % 360.0
-                intensity = channel.DEFAULT_HIGH
+            shared_t = channel.sample_time(config.sensor, tracker_clock, frame, row)
+            index, fs.bit = em.bit_at(shared_t)
+            fs.indices.append(index)
+            intensity, hue = channel.render_sample(
+                fs.bit, scheme, rng, config.intensity_sigma, config.hue_sigma
+            )
             pixel = (row, col)
             if config.pixel_sigma:
                 pixel = (
                     row + rng.normal(0.0, config.pixel_sigma),
                     col + rng.normal(0.0, config.pixel_sigma),
                 )
-            detections.append(signal.Detection(pixel, intensity, hue))
-            det_flasher[pixel] = (k, bit)
+            detections.append(signal.Detection(pixel, intensity, hue, source=k))
 
         detections.sort(key=lambda d: d.pixel)
         tracks = signal.associate(tracks, detections, config.gating_radius_px, shared_base)
@@ -430,40 +437,31 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 continue
             st = track_states.get(tr.track_id)
             if st is None:
-                st = _TrackState(bitizer_for(scheme), codec.StreamDecoder(lut))
+                st = _TrackState(bitizer(config.codebook_bits), codec.StreamDecoder(lut))
                 track_states[tr.track_id] = st
             sample = tr.samples[-1]
-            flasher_bit = det_flasher.get(sample.pixel)
-            if flasher_bit is not None:
-                st.flasher = flasher_bit[0]
-                st.truth_bits.append(flasher_bit[1])
+            fs = flasher_states[sample.source]
+            st.truth_bits.append(fs.bit)
             value = sample.hue if scheme == "hue" else sample.intensity
             emitted = st.bitizer.push(value)
             # a backlog flush labels the last len(emitted) samples, so
             # flips are judged against the matching tail of channel bits
             truth_tail = list(st.truth_bits)[-len(emitted):] if emitted else []
             for bit, true_bit in zip(emitted, truth_tail):
-                if bit != true_bit and st.flasher is not None:
-                    flasher_events[st.flasher]["flips"] += 1
+                fs.flips += bit != true_bit
                 state = st.decoder.push(bit)
-                if state.vote and st.flasher is not None:
-                    votes_stats[st.flasher]["total"] += 1
-                    truth_id = identifiers[st.flasher]
-                    votes_stats[st.flasher]["ok"] += int(state.vote == truth_id)
-                if state.vote and st.lock_frame is None:
-                    st.lock_frame = frame
-                    st.lock_time = shared_base
-                    if st.flasher is not None and flasher_lock[st.flasher]["lock_on_frame"] is None:
-                        flasher_lock[st.flasher] = {
-                            "lock_on_frame": frame,
-                            "lock_on_time_s": shared_base,
-                            "identifier_decoded": state.vote,
-                        }
-                if state.locked and st.flasher is not None:
-                    locked_ids[st.flasher] = state.identifier
+                if state.vote:
+                    fs.votes += 1
+                    fs.votes_ok += state.vote == identifiers[sample.source]
+                    if not st.voted and fs.lock_on_frame is None:
+                        fs.lock_on_frame, fs.lock_on_time_s = frame, shared_base
+                        fs.identifier_decoded = state.vote
+                    st.voted = True
+                if state.locked:
+                    fs.locked_identifier = state.identifier
             ident = st.decoder.identifier or st.decoder.state.vote
             if ident:
-                frame_ids[ident] = tr.samples[-1].pixel
+                frame_ids[ident] = sample.pixel
 
         # pose from identified flashers with known map positions
         frame_entry: dict = {
@@ -489,8 +487,6 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 }
                 frame_entry["rotation_error_rad"] = r_err
                 frame_entry["translation_error_m"] = t_err
-                pose_sq_err_r.append(r_err * r_err)
-                pose_sq_err_t.append(t_err * t_err)
             except pose_mod.DegenerateConfigurationError:
                 frame_entry["degenerate"] = True
         if debug_truth:
@@ -501,60 +497,30 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
         per_frame.append(frame_entry)
 
     per_flasher = []
-    for k, spec in enumerate(config.flashers):
-        stats = votes_stats[k]
+    for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):
+        insertions, deletions = channel.count_drift_events(fs.indices)
         per_flasher.append(
             {
                 "flasher": k,
                 "identifier": identifiers[k],
                 "scheme": spec.scheme,
-                **flasher_lock[k],
-                "locked_identifier": locked_ids[k],
-                "id_accuracy": (stats["ok"] / stats["total"]) if stats["total"] else None,
-                **flasher_events[k],
+                "lock_on_frame": fs.lock_on_frame,
+                "lock_on_time_s": fs.lock_on_time_s,
+                "identifier_decoded": fs.identifier_decoded,
+                "locked_identifier": fs.locked_identifier,
+                "id_accuracy": (fs.votes_ok / fs.votes) if fs.votes else None,
+                "insertions": insertions,
+                "deletions": deletions,
+                "flips": fs.flips,
             }
         )
 
+    posed = [f for f in per_frame if f["pose"] is not None]
     summary = {
         "frames": n_frames,
-        "pose_rmse_m": math.sqrt(sum(pose_sq_err_t) / len(pose_sq_err_t))
-        if pose_sq_err_t
-        else None,
-        "pose_rmse_rad": math.sqrt(sum(pose_sq_err_r) / len(pose_sq_err_r))
-        if pose_sq_err_r
-        else None,
+        "pose_rmse_m": _rms([f["translation_error_m"] for f in posed]),
+        "pose_rmse_rad": _rms([f["rotation_error_rad"] for f in posed]),
         "max_desync_s": max_desync,
-        "identified_flashers": sum(
-            1 for fl in flasher_lock if fl["lock_on_frame"] is not None
-        ),
+        "identified_flashers": sum(fs.lock_on_frame is not None for fs in flasher_states),
     }
     return ScenarioReport(per_flasher, per_frame, summary, heartbeats)
-
-
-def _assign_remaining(positions, visibility_radius, book, candidate_ids):
-    """Greedy spread over a restricted identifier pool (explicit ids removed)."""
-    assigned: list[int] = []
-    free = list(candidate_ids)
-    pts = [np.asarray(p, dtype=float) for p in positions]
-    for i, p in enumerate(pts):
-        neighbours = [
-            assigned[j]
-            for j in range(len(assigned))
-            if float(np.linalg.norm(pts[j] - p)) <= visibility_radius
-        ]
-        if neighbours:
-            best = max(
-                free,
-                key=lambda ident: (
-                    min(
-                        codec.indel_distance(book.word(ident), book.word(o))
-                        for o in neighbours
-                    ),
-                    -ident,
-                ),
-            )
-        else:
-            best = free[0]
-        assigned.append(best)
-        free.remove(best)
-    return assigned

@@ -42,6 +42,7 @@ class FlashSample:
     intensity: float
     hue: float
     pixel: tuple[float, float]
+    source: int | None = None  # simulated flasher index; None for real data
 
 
 @dataclass
@@ -200,6 +201,7 @@ class Detection:
     pixel: tuple[float, float]
     intensity: float
     hue: float
+    source: int | None = None  # simulated flasher index; None for real data
 
 
 def detect_flashes(
@@ -278,7 +280,7 @@ def associate(
         matched_tracks.add(i)
         matched_dets.add(j)
         det = detections[j]
-        open_tracks[i].append(FlashSample(t, det.intensity, det.hue, det.pixel))
+        open_tracks[i].append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
         open_tracks[i].missed = 0
 
     survivors = []
@@ -294,7 +296,7 @@ def associate(
         if j in matched_dets:
             continue
         tr = SampleTrace(next_id)
-        tr.append(FlashSample(t, det.intensity, det.hue, det.pixel))
+        tr.append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
         survivors.append(tr)
         next_id += 1
     return survivors

@@ -16,8 +16,10 @@ from flashtrack.channel import (
     apply_heartbeat,
     count_drift_events,
     heartbeat_expired,
+    render_sample,
     render_samples,
     sample_stream,
+    sample_time,
     sync_interval,
 )
 from flashtrack.codebook import BitWord
@@ -190,6 +192,37 @@ class TestSampleStream:
         assert (ins, dels) == (1, 0)
 
 
+class TestSampleTime:
+    def test_rolling_shutter_delays_each_row(self):
+        timing = SensorTiming("cmos", fps=30.0, rows=10, row_readout=1e-3, exposure_mid=0.01)
+        tracker = ClockModel(rate_ppm=200.0)
+        got = sample_time(timing, tracker, 7, 4.0)
+        assert got == pytest.approx(tracker.local_time(7 / 30.0 + 0.01 + 4.0e-3), abs=1e-15)
+        assert sample_time(timing, tracker, 7) < got
+
+    def test_global_shutter_ignores_row(self):
+        timing = SensorTiming("ccd", fps=30.0, exposure_mid=0.01)
+        tracker = ClockModel(rate_ppm=-80.0)
+        assert sample_time(timing, tracker, 5, 300.0) == sample_time(timing, tracker, 5)
+
+    def test_sample_stream_is_sample_time_then_bit_at(self):
+        word = BitWord.from_string("0110011101011001")
+        em = EmitterState(word, bit_period=1 / 30.0, clock=ClockModel(rate_ppm=-3000.0))
+        timing = SensorTiming(
+            "cmos", fps=30.0, rows=480, row_readout=0.8 / (30.0 * 480), exposure_mid=0.004
+        )
+        tracker = ClockModel(rate_ppm=2500.0, offset=0.003)
+
+        def row_of(frame):
+            return (37.0 * frame) % 480
+
+        samples = sample_stream(em, timing, tracker, row_of, 3.0)
+        assert len(samples) == 91
+        for frame, got in enumerate(samples):
+            shared = sample_time(timing, tracker, frame, row_of(frame))
+            assert got == (shared, *em.bit_at(shared))
+
+
 class TestCountDriftEvents:
     def test_clean_sequence(self):
         assert count_drift_events([0, 1, 2, 3]) == (0, 0)
@@ -243,3 +276,29 @@ class TestRenderSamples:
                 errors += sum(g != w for g, w in zip(got, want))
                 total += 12
         assert errors / total < 1e-3
+
+
+class TestRenderSample:
+    @pytest.mark.parametrize("scheme", ["intensity", "hue"])
+    def test_render_samples_is_render_sample_per_pair(self, scheme):
+        bits = [(k / 30.0, b) for k, b in enumerate([1, 0, 0, 1, 1, 0, 1, 0])]
+        trace = render_samples(
+            bits, scheme, rng=np.random.default_rng(5), intensity_sigma=3.0,
+            hue_sigma=20.0, distance=2.0,
+        )
+        rng = np.random.default_rng(5)
+        for sample, (t, bit) in zip(trace.samples, bits):
+            want = render_sample(bit, scheme, rng, 3.0, 20.0, scale=0.25)
+            assert (sample.t, sample.intensity, sample.hue) == (t, *want)
+        assert len(trace.samples) == len(bits)
+
+    def test_noise_free_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert render_sample(1, "intensity", rng, hue_sigma=9.0) == (DEFAULT_HIGH, 0.0)
+        assert render_sample(0, "hue", rng, intensity_sigma=9.0) == (DEFAULT_HIGH, 240.0)
+        assert rng.bit_generator.state == state
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme"):
+            render_sample(1, "laser", np.random.default_rng(0))

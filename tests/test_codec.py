@@ -1,12 +1,13 @@
 """Streaming decode, lock-on arithmetic, indel metric, id assignment."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashtrack.codebook import BitWord
+from flashtrack.codebook import BitWord, generate_robust_codebook
 from flashtrack.codec import (
     LOCK_RUN,
     STATUS_LOCKED,
@@ -255,3 +256,32 @@ class TestAssignIds:
         book, _ = robust_books[4]
         with pytest.raises(ValueError):
             assign_ids([(0, 0, 0), (1, 1, 1)], 10.0, book)
+
+    CUBE = [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
+
+    @pytest.mark.parametrize("radius", [math.inf, 1.2, 0.5])
+    def test_candidates_never_leave_the_pool(self, robust_books, radius):
+        book, _ = robust_books[12]
+        pool = {3, 4, 6, 8}
+        ids = assign_ids(self.CUBE[:4], radius, book, candidates=pool)
+        assert set(ids.values()) == pool
+        assert ids[0] == 3
+
+    # flashers 0 and 3 of the cube hold explicit ids 5 and 2; the six others
+    # are spread over the rest of the n = 13 robust book (12 words). The
+    # expected ids are what the scenario's own pool assignment gave before
+    # it was folded into assign_ids.
+    @pytest.mark.parametrize(
+        "radius,want", [(math.inf, [1, 12, 7, 3, 4, 6]), (1.2, [1, 3, 4, 11, 6, 8])]
+    )
+    def test_candidates_match_mixed_explicit_and_auto_cube(self, radius, want):
+        book, _ = generate_robust_codebook(13)
+        auto = [p for i, p in enumerate(self.CUBE) if i not in (0, 3)]
+        pool = set(range(1, len(book) + 1)) - {5, 2}
+        ids = assign_ids(auto, radius, book, candidates=pool)
+        assert [ids[i] for i in range(len(auto))] == want
+
+    def test_pool_smaller_than_flashers_rejected(self, robust_books):
+        book, _ = robust_books[12]
+        with pytest.raises(ValueError, match="2 code-words"):
+            assign_ids(self.CUBE[:3], 10.0, book, candidates=[7, 2])

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from flashtrack import cli
-from flashtrack.scenario import ConfigError, ScenarioConfig, interpolate_pose, run
+from flashtrack.scenario import (
+    MAX_FRAMES,
+    ConfigError,
+    ScenarioConfig,
+    interpolate_pose,
+    run,
+)
 from flashtrack.pose import Pose, exp_so3
 
 
@@ -165,6 +171,24 @@ class TestScenarioCube:
         report = run(ScenarioConfig.from_dict(raw))
         assert sum(fl["flips"] for fl in report.per_flasher) > 0
 
+    def test_flashers_on_one_line_of_sight_keep_their_own_truth(self):
+        # flasher 8 sits behind flasher 0, 1.5 times as far from the camera,
+        # so both project to the same pixel; ground truth must follow the
+        # flasher, not the pixel
+        raw = cube_config(duration=1.0)
+        raw["codebook"]["bits"] = 13
+        x, y, z = raw["flashers"][0]["position_m"]
+        camera_z = 4.0  # the camera sits at translation (0, 0, 4), unrotated
+        behind = [1.5 * x, 1.5 * y, 1.5 * (z + camera_z) - camera_z]
+        raw["flashers"].append(dict(raw["flashers"][0], position_m=behind))
+        report = run(ScenarioConfig.from_dict(raw))
+        assert report.summary["identified_flashers"] == 9
+        for fl in report.per_flasher:
+            assert fl["identifier_decoded"] == fl["identifier"]
+            assert fl["locked_identifier"] == fl["identifier"]
+            assert fl["id_accuracy"] == 1.0
+            assert fl["flips"] == 0
+
     def test_report_round_trips_through_json(self):
         report = run(ScenarioConfig.from_dict(cube_config()))
         again = json.loads(report.to_json())
@@ -238,6 +262,64 @@ class TestScenarioConfig:
         msg = str(exc.value)
         assert "duration_s: must be finite" in msg
         assert "camera.sensor.fps: must be finite" in msg
+
+    def test_bad_noise_and_radii_named_in_one_error(self):
+        raw = cube_config()
+        raw["noise"] = {"intensity_sigma": "2", "hue_sigma": -1.0, "pixel_sigma": float("nan")}
+        raw["visibility_radius_m"] = 0.0
+        raw["gating_radius_px"] = -5
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        msg = str(exc.value)
+        assert "noise.intensity_sigma: expected float" in msg
+        assert "noise.hue_sigma: must not be negative" in msg
+        assert "noise.pixel_sigma: must be finite" in msg
+        assert "visibility_radius_m: must be positive" in msg
+        assert "gating_radius_px: must be positive" in msg
+
+    def test_omitted_visibility_radius_is_unbounded(self):
+        config = ScenarioConfig.from_dict(cube_config())
+        assert config.visibility_radius_m == math.inf
+        assert config.gating_radius_px == 20.0
+        assert (config.intensity_sigma, config.hue_sigma, config.pixel_sigma) == (0, 0, 0)
+
+    def test_unknown_keys_named(self):
+        raw = cube_config()
+        raw["noise"] = {"hue_sigma_deg": 90.0}
+        raw["camera"]["sensor"]["row_readout"] = 1e-5
+        raw["trajectory"][0]["time_s"] = 0.0
+        raw["flashers"][2]["ppm"] = 3.0
+        raw["durations"] = 1.0
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        msg = str(exc.value)
+        for name in (
+            "noise.hue_sigma_deg",
+            "camera.sensor.row_readout",
+            "trajectory[0].time_s",
+            "flashers[2].ppm",
+            "durations",
+        ):
+            assert f"{name}: unknown key" in msg
+
+    def test_every_documented_key_accepted(self):
+        raw = cube_config()
+        raw["camera"]["sensor"] = {
+            "kind": "cmos", "fps": 30.0, "rows": 480,
+            "row_readout_s": 1e-5, "exposure_mid_s": 0.01,
+        }
+        raw["heartbeat"] = {"enabled": True, "period_s": 1.0, "timeout_s": 2.0}
+        raw["noise"] = {"pixel_sigma": 0.1, "intensity_sigma": 1.0, "hue_sigma": 2.0}
+        raw["visibility_radius_m"] = 2.0
+        raw["gating_radius_px"] = 15.0
+        raw["flashers"][0]["id"] = 3
+        ScenarioConfig.from_dict(raw)
+
+    def test_frame_count_capped(self):
+        raw = cube_config(duration=1e9)
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert f"more than {MAX_FRAMES} frames" in str(exc.value)
 
     def test_explicit_ids_honoured(self):
         raw = cube_config()
@@ -367,3 +449,15 @@ class TestCli:
         scn.write_text(json.dumps(cube_config(duration=float("nan"))))
         assert cli.main(["simulate", "--scenario", str(scn)]) == 2
         assert "duration_s" in capsys.readouterr().err
+
+    def test_simulate_bad_noise_exits_2(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run() reached with an invalid noise level")
+
+        monkeypatch.setattr(cli.scenario, "run", must_not_run)
+        raw = cube_config()
+        raw["noise"] = {"pixel_sigma": "0.3"}
+        scn = tmp_path / "noise.json"
+        scn.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+        assert "noise.pixel_sigma" in capsys.readouterr().err
