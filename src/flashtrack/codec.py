@@ -169,16 +169,23 @@ def indel_distance(a, b) -> int:
     """Minimum single-symbol insertions plus deletions turning a into b.
 
     Computed as len(a) + len(b) - 2 * LCS(a, b); a substitution costs 2
-    because it decomposes into one deletion plus one insertion.
+    because it decomposes into one deletion plus one insertion. The LCS is
+    bit-parallel (Allison & Dix 1986; Hyyro 2004): v holds one row of the
+    LCS table over b, bit j clear where the row steps up from b[:j] to
+    b[:j+1], so each symbol of a costs a few integer operations and the
+    LCS is the number of clear bits.
     """
     xa, xb = _as_bits(a), _as_bits(b)
-    prev = [0] * (len(xb) + 1)
+    match: dict[int, int] = {}  # symbol -> positions in b as bits
+    for j, y in enumerate(xb):
+        match[y] = match.get(y, 0) | (1 << j)
+    full = (1 << len(xb)) - 1
+    v = full
     for x in xa:
-        cur = [0] * (len(xb) + 1)
-        for j, y in enumerate(xb, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return len(xa) + len(xb) - 2 * prev[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    lcs = len(xb) - v.bit_count()
+    return len(xa) + len(xb) - 2 * lcs
 
 
 def assign_ids(

@@ -2,10 +2,17 @@
 
 The tracker knows the 3D positions of identified flashers and their
 pixel locations in the current frame; recovering the camera pose is a
-perspective-n-point problem. With six or more points a direct linear
-transform gives a good starting pose; with four or five the DLT is
-underdetermined, so a fixed fan of rotation seeds is refined and the
-best reprojection wins: the lowest final cost, the first seed on a tie.
+perspective-n-point problem. The start depends on the point count:
+
+- Six or more points: a direct linear transform gives the start, and a
+  caller's start pose is ignored (the exact DLT converges in fewer steps).
+- Four or five points: the DLT is underdetermined. A caller's start pose,
+  typically the previous frame's fix, is refined alone first and kept when
+  its final reprojection RMS is at most WARM_RMS_PX. Otherwise, or without
+  a start, a fixed fan of rotation seeds is refined and the best
+  reprojection wins: the lowest final cost, the first seed on a tie. A
+  rejected start leaves the result exactly as if none was given.
+
 Coplanar point sets make the problem ambiguous and are rejected up front.
 
 Refinement is Levenberg-Marquardt over a 6-vector increment, three
@@ -38,6 +45,9 @@ STEP_RTOL = 1e-12
 COST_RTOL = 1e-12
 MAX_ITERATIONS = 200
 MAX_RETRIES = 8
+# a start pose at 4-5 points is kept when its refined per-coordinate
+# reprojection RMS is at most this; otherwise the seed fan runs
+WARM_RMS_PX = 1.0
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -289,12 +299,16 @@ def _seed_poses(points) -> tuple[np.ndarray, np.ndarray]:
     return rot, trans
 
 
-def solve_pnp(K: CameraIntrinsics, points, pixels) -> Pose:
+def solve_pnp(K: CameraIntrinsics, points, pixels, start: Pose | None = None) -> Pose:
     """Pose minimizing squared reprojection error over the given pairs.
 
     points are world 3D, pixels are observed (row, col). Requires at
-    least 4 non-coplanar points; uses DLT initialization at 6 or more,
-    a 16-seed rotation fan below that.
+    least 4 non-coplanar points. At 6 or more the DLT gives the start and
+    start is ignored. At 4 or 5, start (e.g. the previous frame's fix) is
+    refined alone when it keeps every point in front, and returned when
+    its final cost is at most 2 * m * WARM_RMS_PX**2 for m points;
+    otherwise the 16-seed rotation fan runs, with the same result as
+    start=None.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -309,6 +323,12 @@ def solve_pnp(K: CameraIntrinsics, points, pixels) -> Pose:
         rot, trans = _dlt_pose(K, points, pixels)
         rot, trans = rot[None], trans[None]
     else:
+        if start is not None:
+            rot, trans = start.rotation[None], start.translation[None]
+            if (_camera(rot, trans, points)[..., 2] > 0).all():
+                rot, trans, cost = _refine_stack(K, rot, trans, points, pixels)
+                if cost[0] <= 2 * len(points) * WARM_RMS_PX**2:
+                    return Pose(rot[0], trans[0])
         rot, trans = _seed_poses(points)
     front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
     if not front.any():

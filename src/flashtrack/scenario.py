@@ -6,7 +6,8 @@ heartbeat settings, noise levels, and the code-book to use. `run`
 composes the library per frame: `channel` samples and renders each
 flash bit through the drifting clocks, `signal` tracks the detections
 and classifies them back into bits, `codec` assigns and decodes the
-identifiers, and `pose` recovers the camera from the flasher map. The
+identifiers, and `pose` recovers the camera from the flasher map, handed
+the previous frame's fix as its start (none after a frame without one). The
 report records per-flasher lock-on and error events, per-frame
 detections and pose errors against ground truth, and summary statistics.
 
@@ -167,14 +168,21 @@ class ScenarioConfig:
             errors.append(f"camera.intrinsics: {exc}")
 
         sen = section(cam.get("sensor", {}), "camera.sensor")
+        rows = need(sen, "rows", int, "camera.sensor", default=1, required=False)
+        if rows < 1:
+            errors.append("camera.sensor.rows: must be at least 1")
+        timing = []
+        for key in ("row_readout_s", "exposure_mid_s"):
+            timing.append(need(sen, key, float, "camera.sensor", default=0.0, required=False))
+            if timing[-1] < 0:
+                errors.append(f"camera.sensor.{key}: must not be negative")
         sensor = None
         try:
             sensor = channel.SensorTiming(
                 need(sen, "kind", str, "camera.sensor", default="ccd"),
                 need(sen, "fps", float, "camera.sensor", default=30.0),
-                need(sen, "rows", int, "camera.sensor", default=1, required=False) or 1,
-                need(sen, "row_readout_s", float, "camera.sensor", default=0.0, required=False),
-                need(sen, "exposure_mid_s", float, "camera.sensor", default=0.0, required=False),
+                rows,
+                *timing,
             )
         except (ValueError, TypeError) as exc:
             errors.append(f"camera.sensor: {exc}")
@@ -229,6 +237,12 @@ class ScenarioConfig:
             errors.append("duration_s: must be positive")
         elif duration is not None and sensor is not None and duration * sensor.fps >= MAX_FRAMES:
             errors.append(f"duration_s: more than {MAX_FRAMES} frames at {sensor.fps:g} fps")
+        # pulses fire at 0, period_s, 2 * period_s, ...: floor(duration_s / period_s) + 1
+        if (
+            hb_enabled and hb_period is not None and hb_period > 0
+            and duration is not None and duration > 0 and duration / hb_period >= MAX_FRAMES
+        ):
+            errors.append(f"heartbeat.period_s: more than {MAX_FRAMES} pulses in {duration:g} s")
         seed = need(raw, "seed", int, "")
 
         if errors:
@@ -374,6 +388,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
 
     per_frame: list[dict] = []
     max_desync = 0.0
+    last_fix: Pose | None = None  # warm start for the next 4-5 point solve
 
     for frame in range(n_frames):
         shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
@@ -475,11 +490,12 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             "translation_error_m": None,
         }
         usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
+        est = None
         if len(usable) >= 4:
             pts = np.array([u[0] for u in usable])
             pix = np.array([u[1] for u in usable])
             try:
-                est = pose_mod.solve_pnp(config.intrinsics, pts, pix)
+                est = pose_mod.solve_pnp(config.intrinsics, pts, pix, start=last_fix)
                 r_err, t_err = pose_mod.pose_error(est, truth_pose)
                 frame_entry["pose"] = {
                     "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
@@ -489,6 +505,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 frame_entry["translation_error_m"] = t_err
             except pose_mod.DegenerateConfigurationError:
                 frame_entry["degenerate"] = True
+        last_fix = est
         if debug_truth:
             frame_entry["truth_pose"] = {
                 "rotation": truth_pose.rotation.ravel().tolist(),

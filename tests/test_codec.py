@@ -202,7 +202,38 @@ class TestLockOnTime:
         assert all(len(row["lockon_s"]) == 8 for row in table.values())
 
 
+def dp_indel_distance(a, b) -> int:
+    """Reference: len(a) + len(b) - 2 * LCS by the quadratic dynamic program."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return len(a) + len(b) - 2 * prev[-1]
+
+
+bit_lists = st.lists(st.integers(0, 1), max_size=24)
+
+
 class TestIndelDistance:
+    @given(bit_lists, bit_lists)
+    @settings(max_examples=500)
+    def test_matches_dynamic_program_on_bit_sequences(self, a, b):
+        assert indel_distance(a, b) == dp_indel_distance(a, b)
+
+    @given(st.lists(st.integers(0, 3), max_size=16), st.lists(st.integers(0, 3), max_size=16))
+    def test_matches_dynamic_program_on_wider_alphabet(self, a, b):
+        assert indel_distance(a, b) == dp_indel_distance(a, b)
+
+    @given(bit_strings, bit_strings)
+    def test_matches_dynamic_program_on_bitwords_and_strings(self, a, b):
+        want = dp_indel_distance([int(c) for c in a], [int(c) for c in b])
+        wa, wb = BitWord.from_string(a), BitWord.from_string(b)
+        assert indel_distance(wa, wb) == want
+        assert indel_distance(a, wb) == want
+        assert indel_distance(wa, b) == want
+
     def test_identity(self):
         assert indel_distance("0110", "0110") == 0
 

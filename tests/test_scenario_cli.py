@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flashtrack import cli
+from flashtrack import pose as pose_mod
 from flashtrack.scenario import (
     MAX_FRAMES,
     ConfigError,
@@ -15,6 +16,10 @@ from flashtrack.scenario import (
     run,
 )
 from flashtrack.pose import Pose, exp_so3
+
+
+#: camera.sensor values from_dict must refuse, each naming its field
+BAD_SENSOR_TIMING = [("rows", 0), ("rows", -5), ("row_readout_s", -1e-5), ("exposure_mid_s", -0.01)]
 
 
 def cube_config(tracker_ppm=0.0, duration=0.65, scheme="hue", seed=7):
@@ -189,6 +194,34 @@ class TestScenarioCube:
             assert fl["id_accuracy"] == 1.0
             assert fl["flips"] == 0
 
+    def test_warm_started_poses_match_cold_solves(self, monkeypatch):
+        # the camera yaws and rolls until only 5 corners stay in the image;
+        # each solve is warm-started from the previous frame's fix
+        def knot(t, yaw, roll):
+            r = (exp_so3([0.0, yaw, 0.0]) @ exp_so3([0.0, 0.0, roll])).T
+            trans = (r @ [0.0, 0.0, 4.0]).tolist()
+            return {"t_s": t, "rotation": r.ravel().tolist(), "translation_m": trans}
+
+        raw = cube_config(duration=2.0)
+        raw["trajectory"] = [knot(0.0, 0.0, 0.0), knot(0.6, 0.0, 0.0), knot(1.6, -0.42, 0.45)]
+        cold_solve = pose_mod.solve_pnp
+        calls = []
+
+        def recording_solve(K, points, pixels, start=None):
+            est = cold_solve(K, points, pixels, start=start)
+            calls.append((K, points, pixels, start))  # only solves that gave a pose
+            return est
+
+        monkeypatch.setattr(pose_mod, "solve_pnp", recording_solve)
+        report = run(ScenarioConfig.from_dict(raw))
+        posed = [f["pose"] for f in report.per_frame if f["pose"] is not None]
+        assert len(posed) == len(calls)
+        assert sum(len(c[1]) == 5 and c[3] is not None for c in calls) >= 10
+        for (K, points, pixels, _), got in zip(calls, posed):
+            cold = cold_solve(K, points, pixels)
+            assert np.abs(np.array(got["rotation"]) - cold.rotation.ravel()).max() < 1e-9
+            assert np.abs(np.array(got["translation_m"]) - cold.translation).max() < 1e-9
+
     def test_report_round_trips_through_json(self):
         report = run(ScenarioConfig.from_dict(cube_config()))
         again = json.loads(report.to_json())
@@ -320,6 +353,23 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(raw)
         assert f"more than {MAX_FRAMES} frames" in str(exc.value)
+
+    @pytest.mark.parametrize("key,value", BAD_SENSOR_TIMING)
+    def test_bad_sensor_timing_named(self, key, value):
+        raw = cube_config()
+        raw["camera"]["sensor"][key] = value
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert f"camera.sensor.{key}: must" in str(exc.value)
+
+    def test_heartbeat_pulse_count_capped(self):
+        raw = cube_config(duration=1.0)
+        raw["heartbeat"] = {"enabled": True, "period_s": 1e-9}
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert f"heartbeat.period_s: more than {MAX_FRAMES} pulses" in str(exc.value)
+        raw["heartbeat"]["period_s"] = 1e-5
+        assert ScenarioConfig.from_dict(raw).heartbeat_period_s == 1e-5
 
     def test_explicit_ids_honoured(self):
         raw = cube_config()
@@ -461,3 +511,23 @@ class TestCli:
         scn.write_text(json.dumps(raw))
         assert cli.main(["simulate", "--scenario", str(scn)]) == 2
         assert "noise.pixel_sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("sensor", key, value) for key, value in BAD_SENSOR_TIMING]
+        + [("heartbeat", "period_s", 1e-9)],
+    )
+    def test_simulate_bad_timing_exits_2(self, tmp_path, capsys, monkeypatch, section, key, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"run() reached with {section}.{key} = {value}")
+
+        monkeypatch.setattr(cli.scenario, "run", must_not_run)
+        raw = cube_config(duration=1.0)
+        if section == "sensor":
+            raw["camera"]["sensor"][key] = value
+        else:
+            raw["heartbeat"] = {"enabled": True, key: value}
+        scn = tmp_path / "timing.json"
+        scn.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+        assert key in capsys.readouterr().err
