@@ -150,7 +150,10 @@ class LookupTable:
     """Flat decode table: window integer value -> identifier, 0 = unknown.
 
     Sized 2^(n+1) so n-bit and (n+1)-bit windows index the same array.
-    Initial-mode tables only populate the low 2^n slots.
+    Initial-mode tables only populate the low 2^n slots. slots is a
+    zero-copy memoryview of entries whose items are plain ints, so the
+    decoder pays no numpy scalar per lookup and in-place writes to
+    entries show through it.
     """
 
     def __init__(self, n: int, mode: str, entries: np.ndarray):
@@ -159,9 +162,17 @@ class LookupTable:
         self.n = n
         self.mode = mode
         self.entries = entries
+        self.slots = memoryview(entries)
+        # n-bit and (n+1)-bit window masks, taken once for the decoder step
+        self._word_mask = (1 << n) - 1
+        self._window_mask = (2 << n) - 1
+
+    def __reduce__(self):
+        # a memoryview does not pickle; rebuild the view from the entries
+        return LookupTable, (self.n, self.mode, self.entries)
 
     def __getitem__(self, index: int) -> int:
-        return int(self.entries[index])
+        return self.slots[index]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -290,28 +301,43 @@ def brute_force_max_codebook(n: int) -> int:
     """Size of a maximum mutually-non-overlapping class set, exactly.
 
     Two classes overlap when their claim sets (rotations plus all
-    single-error variants) intersect. The maximum independent set of
-    the overlap graph is found as a maximum clique of its complement.
-    Exponential in the worst case; fine at this scale, hopeless much
-    above n=14. A test oracle: it needs networkx, which only the test
-    extra installs (pip install -e ".[test]").
+    single-error variants) intersect. The answer is the maximum
+    independent set of the overlap graph, found by branch and bound
+    over bitmasks of classes. Exponential in the worst case; fine at
+    this scale, hopeless much above n=14. A test oracle.
     """
     if not 4 <= n <= 10:
         raise ValueError(f"n={n} out of range [4, 10]")
-    import networkx as nx
 
     trivial = {0, (1 << n) - 1}
     reps = [r for r in _canonical_reps(n)[0].tolist() if r not in trivial]
     rows = _robust_claims(np.array(reps, dtype=np.int64), n)
-    claims = {r: frozenset(row.tolist()) for r, row in zip(reps, rows)}
-    graph = nx.Graph()
-    graph.add_nodes_from(reps)
-    for i, a in enumerate(reps):
-        for b in reps[i + 1 :]:
-            if not claims[a].isdisjoint(claims[b]):
-                graph.add_edge(a, b)
-    _, size = nx.max_weight_clique(nx.complement(graph), weight=None)
-    return size
+    claims = [frozenset(row.tolist()) for row in rows]
+    # closed neighbourhoods: bit j of overlap[i] is set when classes i and j
+    # overlap, and every class overlaps itself
+    overlap = [
+        sum(1 << j for j, other in enumerate(claims) if not mine.isdisjoint(other))
+        for mine in claims
+    ]
+
+    def largest(cand: int) -> int:
+        """Size of a maximum independent set within the classes in cand."""
+        if not cand:
+            return 0
+        # a maximum set holds the class of least degree or one of its
+        # neighbours, or that class could be added to it
+        members = [i for i in range(len(reps)) if cand >> i & 1]
+        v = min(members, key=lambda i: (overlap[i] & cand).bit_count())
+        branch, best = overlap[v] & cand, 0
+        # branch on each u in turn, then drop u: later branches hold no u
+        while branch and cand.bit_count() > best:
+            u = branch.bit_length() - 1
+            branch ^= 1 << u
+            best = max(best, 1 + largest(cand & ~overlap[u]))
+            cand ^= 1 << u
+        return best
+
+    return largest((1 << len(reps)) - 1)
 
 
 def codebook_to_json(cb: Codebook, lut: LookupTable) -> dict:

@@ -17,13 +17,18 @@ and single error for n <= 12 show those alias votes never persist for
 more than 2 consecutive steps, so a run of 3 is the smallest threshold
 that never locks onto the wrong identifier; a clean stream still locks
 within n+2 bits. Once locked the state is sticky until reset.
+
+Every sampled bit of every tracked beacon passes through push_bit, so
+the step is kept lean: the state is an immutable named tuple, a fresh
+snapshot per bit, and lookups read `LookupTable.slots`, a zero-copy
+view of the table whose items are plain ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 import math
+from typing import NamedTuple
 
 from .codebook import BitWord, Codebook, LookupTable
 
@@ -33,8 +38,7 @@ STATUS_UNKNOWN = "unknown"
 STATUS_LOCKED = "locked"
 
 
-@dataclass(frozen=True)
-class DecodeState:
+class DecodeState(NamedTuple):
     """Streaming decoder state; advance with push_bit, one bit per sample.
 
     identifier is only meaningful when status is locked. vote is this
@@ -69,30 +73,31 @@ def decode_window(lut: LookupTable, window: BitWord) -> int:
 
 def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
     """Feed one bit; returns the successor state."""
-    n = lut.n
-    window = ((state.window << 1) | (bit & 1)) & ((1 << (n + 1)) - 1)
-    consumed = state.bits_consumed + 1
+    status, identifier, consumed, run, last, window = state
+    n, slots = lut.n, lut.slots
+    window = ((window << 1) | (bit & 1)) & lut._window_mask
+    consumed += 1
 
-    votes = []
+    vote = 0
     if consumed >= n:
-        votes.append(lut[window & ((1 << n) - 1)])
-    if lut.mode == "robust" and consumed >= n + 1:
-        votes.append(lut[window])
-    nonzero = {v for v in votes if v}
-    vote = nonzero.pop() if len(nonzero) == 1 else 0
+        vote = slots[window & lut._word_mask]
+        if consumed > n and lut.mode == "robust":
+            longer = slots[window]
+            if longer != vote:
+                # a lone nonzero lookup votes; two different ones cancel
+                vote = 0 if vote and longer else vote or longer
 
-    if vote and vote == state.vote:
-        run = state.agreement_run + 1
-    elif vote:
-        run = 1
-    else:
+    if not vote:
         run = 0
+    elif vote == last:
+        run += 1
+    else:
+        run = 1
 
-    if state.locked:
-        return replace(
-            state, bits_consumed=consumed, agreement_run=run, vote=vote, window=window
-        )
-    if vote and consumed >= n and run >= LOCK_RUN[lut.mode]:
+    if status == STATUS_LOCKED:
+        return DecodeState(status, identifier, consumed, run, vote, window)
+    # a nonzero vote implies at least n bits consumed
+    if vote and run >= LOCK_RUN[lut.mode]:
         return DecodeState(STATUS_LOCKED, vote, consumed, run, vote, window)
     return DecodeState(STATUS_UNKNOWN, 0, consumed, run, vote, window)
 
@@ -208,6 +213,16 @@ def assign_ids(
     if len(pts) > len(free):
         raise ValueError(f"{len(pts)} flashers but only {len(free)} code-words")
 
+    bits = {ident: cb.word(ident).bits for ident in free}
+    # a pair's distance is asked again by every later flasher near both
+    pair_distance: dict[tuple[int, int], int] = {}
+
+    def distance(a: int, b: int) -> int:
+        key = (a, b) if a < b else (b, a)
+        if key not in pair_distance:
+            pair_distance[key] = indel_distance(bits[a], bits[b])
+        return pair_distance[key]
+
     assigned: dict[int, int] = {}
     for i, p in enumerate(pts):
         neighbours = [
@@ -218,10 +233,7 @@ def assign_ids(
         if neighbours:
             best = max(
                 free,
-                key=lambda ident: (
-                    min(indel_distance(cb.word(ident), cb.word(o)) for o in neighbours),
-                    -ident,
-                ),
+                key=lambda ident: (min(distance(ident, o) for o in neighbours), -ident),
             )
         else:
             best = free[0]

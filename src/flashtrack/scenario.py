@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, codec, pose as pose_mod, signal
-from .codebook import generate_initial_codebook, generate_robust_codebook
+from .codebook import (
+    MAX_BITS,
+    MIN_BITS_INITIAL,
+    MIN_BITS_ROBUST,
+    generate_initial_codebook,
+    generate_robust_codebook,
+)
 from .pose import CameraIntrinsics, Pose
 
 
@@ -231,6 +237,10 @@ class ScenarioConfig:
         if mode not in ("initial", "robust"):
             errors.append("codebook.mode: expected initial or robust")
         bits = need(book, "bits", int, "codebook", default=12)
+        # an unknown mode is already an error; check bits against the looser bound
+        low = MIN_BITS_ROBUST if mode == "robust" else MIN_BITS_INITIAL
+        if not low <= bits <= MAX_BITS:
+            errors.append(f"codebook.bits: {bits} outside {low}..{MAX_BITS} for mode {mode!r}")
 
         duration = need(raw, "duration_s", float, "")
         if duration is not None and duration <= 0:

@@ -264,7 +264,11 @@ class TestRobustCodebook:
 
 
 class TestBruteForceOracle:
-    @pytest.mark.parametrize("n,expected", [(4, 1), (5, 2), (6, 2), (7, 2), (8, 4)])
+    # n = 9 and 10 were first found with networkx's maximum clique on the
+    # complement graph; the branch and bound must agree at every n
+    @pytest.mark.parametrize(
+        "n,expected", [(4, 1), (5, 2), (6, 2), (7, 2), (8, 4), (9, 4), (10, 6)]
+    )
     def test_exact_max_sizes(self, n, expected):
         assert brute_force_max_codebook(n) == expected
 

@@ -1,12 +1,16 @@
 """Streaming decode, lock-on arithmetic, indel metric, id assignment."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashtrack import codec
 from flashtrack.codebook import BitWord, generate_robust_codebook
 from flashtrack.codec import (
     LOCK_RUN,
@@ -30,6 +34,75 @@ bit_strings = st.text(alphabet="01", min_size=1, max_size=12)
 def drive(lut, bits):
     decoder = StreamDecoder(lut)
     return [decoder.push(int(b)) for b in bits]
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceState:
+    """The decoder state as a frozen dataclass, stepped by reference_push_bit."""
+
+    status: str = STATUS_UNKNOWN
+    identifier: int = 0
+    bits_consumed: int = 0
+    agreement_run: int = 0
+    vote: int = 0
+    window: int = 0
+
+    @property
+    def locked(self) -> bool:
+        return self.status == STATUS_LOCKED
+
+
+def reference_push_bit(state: ReferenceState, lut, bit: int) -> ReferenceState:
+    """The decoder step written plainly: a vote list, a set, dataclasses.replace."""
+    n = lut.n
+    window = ((state.window << 1) | (bit & 1)) & ((1 << (n + 1)) - 1)
+    consumed = state.bits_consumed + 1
+
+    votes = []
+    if consumed >= n:
+        votes.append(lut[window & ((1 << n) - 1)])
+    if lut.mode == "robust" and consumed >= n + 1:
+        votes.append(lut[window])
+    nonzero = {v for v in votes if v}
+    vote = nonzero.pop() if len(nonzero) == 1 else 0
+
+    if vote and vote == state.vote:
+        run = state.agreement_run + 1
+    elif vote:
+        run = 1
+    else:
+        run = 0
+
+    if state.locked:
+        return dataclasses.replace(
+            state, bits_consumed=consumed, agreement_run=run, vote=vote, window=window
+        )
+    if vote and consumed >= n and run >= LOCK_RUN[lut.mode]:
+        return ReferenceState(STATUS_LOCKED, vote, consumed, run, vote, window)
+    return ReferenceState(STATUS_UNKNOWN, 0, consumed, run, vote, window)
+
+
+def assert_matches_reference(lut, bits) -> list:
+    """Step push_bit and the reference side by side; every field must agree."""
+    state, ref, states = DecodeState(), ReferenceState(), []
+    for b in bits:
+        state, ref = push_bit(state, lut, b), reference_push_bit(ref, lut, b)
+        assert tuple(state) == dataclasses.astuple(ref), (lut.n, lut.mode, bits)
+        assert state.locked == ref.locked
+        states.append(state)
+    return states
+
+
+def corrupt(bits: list, kind: str, pos: int) -> list:
+    """One flip, adjacent duplication or deletion at pos."""
+    bits = list(bits)
+    if kind == "flip":
+        bits[pos] ^= 1
+    elif kind == "dup":
+        bits.insert(pos, bits[pos])
+    else:
+        del bits[pos]
+    return bits
 
 
 class TestEncode:
@@ -134,6 +207,97 @@ class TestPushBit:
                 assert not state.locked
 
 
+ERRORS = ("flip", "dup", "del")
+
+
+@st.composite
+def decoder_streams(draw):
+    """(mode, n, stream): free bits, or cycles of one book word with one error."""
+    mode = draw(st.sampled_from(["initial", "robust"]))
+    n = draw(st.integers(4, 10))
+    kind = draw(st.sampled_from(("free",) + ERRORS))
+    if kind == "free":
+        return mode, n, kind, draw(st.lists(st.integers(0, 1), max_size=5 * n))
+    pick, phase = draw(st.integers(0, 1 << 16)), draw(st.integers(0, n - 1))
+    return mode, n, kind, (pick, phase, draw(st.integers(0, 4 * n - 1)))
+
+
+class TestMatchesReference:
+    """push_bit against the plain reference step, state for state."""
+
+    @given(decoder_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_of_every_state(self, robust_books, initial_books, case):
+        mode, n, kind, drawn = case
+        book, lut = (robust_books if mode == "robust" else initial_books)[n]
+        if kind == "free":
+            bits = drawn
+        else:
+            pick, phase, pos = drawn
+            word = book.word(1 + pick % len(book)).bits
+            bits = corrupt([word[(phase + i) % n] for i in range(4 * n)], kind, pos)
+        assert_matches_reference(lut, bits)
+
+    def test_word_streams_hit_votes_cancellations_and_locks(self, robust_books, initial_books):
+        """Every word, phase and error of the small books: all branches are taken."""
+        votes = cancels = locked = 0
+        books = [robust_books[n] for n in range(4, 9)] + [initial_books[n] for n in range(4, 7)]
+        for book, lut in books:
+            n = lut.n
+            for word in (w.bits for w in book.words):
+                for phase, kind, pos in itertools.product(range(n), ERRORS, range(n, 2 * n)):
+                    bits = corrupt([word[(phase + i) % n] for i in range(4 * n)], kind, pos)
+                    for s in assert_matches_reference(lut, bits):
+                        votes += s.vote != 0
+                        locked += s.locked
+                        short, longer = lut[s.window & ((1 << n) - 1)], lut[s.window]
+                        cancels += (
+                            lut.mode == "robust" and s.bits_consumed > n
+                            and short and longer and short != longer
+                        )
+        assert votes and cancels and locked, (votes, cancels, locked)
+
+
+class TestDecoderState:
+    def test_defaults_and_locked(self):
+        state = DecodeState()
+        assert tuple(state) == (STATUS_UNKNOWN, 0, 0, 0, 0, 0)
+        assert state._fields == (
+            "status", "identifier", "bits_consumed", "agreement_run", "vote", "window",
+        )
+        assert not state.locked
+        assert DecodeState(STATUS_LOCKED, 3).locked
+
+    def test_successive_pushes_are_distinct_snapshots(self, robust_books):
+        _, lut = robust_books[4]
+        decoder = StreamDecoder(lut)
+        first = decoder.push(0)
+        second = decoder.push(1)
+        assert first is not second
+        assert (first.bits_consumed, second.bits_consumed) == (1, 2)
+
+    def test_write_through_entries_changes_next_vote(self):
+        _, lut = generate_robust_codebook(4)
+        decoder = StreamDecoder(lut)
+        for b in (0, 1, 1):
+            decoder.push(b)
+        lut.entries[0b0111] = 9
+        assert lut.slots[0b0111] == 9
+        assert decoder.push(1).vote == 9
+
+    def test_slots_share_memory_with_entries(self, robust_books):
+        _, lut = robust_books[8]
+        assert np.shares_memory(np.asarray(lut.slots), lut.entries)
+        assert all(lut.slots[i] == lut.entries[i] for i in range(len(lut)))
+
+    def test_table_survives_pickle(self, robust_books):
+        _, lut = robust_books[6]
+        copy = pickle.loads(pickle.dumps(lut))
+        assert (copy.n, copy.mode) == (lut.n, lut.mode)
+        assert np.array_equal(copy.entries, lut.entries)
+        assert copy.slots[copy.entries.argmax()] == int(lut.entries.max())
+
+
 class TestRoundTripSmall:
     """Error-free and single-error streams for the small books."""
 
@@ -155,14 +319,8 @@ class TestRoundTripSmall:
         for ident in range(1, len(book) + 1):
             word = book.word(ident)
             clean = list(word.bits) * 4
-            for kind, pos in itertools.product(("flip", "dup", "del"), range(n)):
-                bits = list(clean)
-                if kind == "flip":
-                    bits[n + pos] ^= 1
-                elif kind == "dup":
-                    bits.insert(n + pos, bits[n + pos])
-                else:
-                    del bits[n + pos]
+            for kind, pos in itertools.product(ERRORS, range(n)):
+                bits = corrupt(clean, kind, n + pos)
                 decoder = StreamDecoder(lut)
                 wrong = 0
                 for b in bits:
@@ -311,6 +469,33 @@ class TestAssignIds:
         pool = set(range(1, len(book) + 1)) - {5, 2}
         ids = assign_ids(auto, radius, book, candidates=pool)
         assert [ids[i] for i in range(len(auto))] == want
+
+    def test_each_pair_distance_computed_once(self, initial_books, monkeypatch):
+        """A seeded 24-point layout: same picks as the per-pair loop, one
+        indel_distance call per distinct pair at most."""
+        book, _ = initial_books[9]
+        layout = np.random.default_rng(24).uniform(-2.0, 2.0, size=(24, 3))
+        radius = 1.5
+        original = codec.indel_distance
+
+        # reference: every flasher recomputes every candidate-neighbour distance
+        free, want, pairs = list(range(1, len(book) + 1)), {}, set()
+        for i, p in enumerate(layout):
+            near = [want[j] for j in want if np.linalg.norm(layout[j] - p) <= radius]
+            best = free[0]
+            if near:
+                pairs.update(frozenset((c, o)) for c in free for o in near)
+                best = max(
+                    free,
+                    key=lambda c: (min(original(book.word(c), book.word(o)) for o in near), -c),
+                )
+            want[i] = best
+            free.remove(best)
+
+        calls = []
+        monkeypatch.setattr(codec, "indel_distance", lambda a, b: calls.append(1) or original(a, b))
+        assert assign_ids(layout, radius, book) == want
+        assert 0 < len(calls) <= len(pairs)
 
     def test_pool_smaller_than_flashers_rejected(self, robust_books):
         book, _ = robust_books[12]

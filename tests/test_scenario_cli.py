@@ -8,6 +8,7 @@ import pytest
 
 from flashtrack import cli
 from flashtrack import pose as pose_mod
+from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST
 from flashtrack.scenario import (
     MAX_FRAMES,
     ConfigError,
@@ -17,6 +18,14 @@ from flashtrack.scenario import (
 )
 from flashtrack.pose import Pose, exp_so3
 
+
+#: (mode, bits) just outside and just inside each mode's code-book range
+BITS_EDGES = [
+    ("initial", MIN_BITS_INITIAL - 1, False), ("initial", MIN_BITS_INITIAL, True),
+    ("initial", MAX_BITS, True), ("initial", MAX_BITS + 1, False),
+    ("robust", MIN_BITS_ROBUST - 1, False), ("robust", MIN_BITS_ROBUST, True),
+    ("robust", MAX_BITS, True), ("robust", MAX_BITS + 1, False),
+]
 
 #: camera.sensor values from_dict must refuse, each naming its field
 BAD_SENSOR_TIMING = [("rows", 0), ("rows", -5), ("row_readout_s", -1e-5), ("exposure_mid_s", -0.01)]
@@ -371,6 +380,18 @@ class TestScenarioConfig:
         raw["heartbeat"]["period_s"] = 1e-5
         assert ScenarioConfig.from_dict(raw).heartbeat_period_s == 1e-5
 
+    @pytest.mark.parametrize("mode,bits,accepted", BITS_EDGES)
+    def test_codebook_bits_checked_per_mode(self, mode, bits, accepted):
+        raw = cube_config()
+        raw["codebook"] = {"bits": bits, "mode": mode}
+        if accepted:
+            assert ScenarioConfig.from_dict(raw).codebook_bits == bits
+            return
+        raw["duration_s"] = -1  # the same single error names both fields
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert "codebook.bits" in str(exc.value) and "duration_s" in str(exc.value)
+
     def test_explicit_ids_honoured(self):
         raw = cube_config()
         raw["flashers"][0]["id"] = 5
@@ -511,6 +532,19 @@ class TestCli:
         scn.write_text(json.dumps(raw))
         assert cli.main(["simulate", "--scenario", str(scn)]) == 2
         assert "noise.pixel_sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,bits", [(m, b) for m, b, ok in BITS_EDGES if not ok])
+    def test_simulate_bad_codebook_bits_exits_2(self, tmp_path, capsys, monkeypatch, mode, bits):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"run() reached with {bits} bits in {mode} mode")
+
+        monkeypatch.setattr(cli.scenario, "run", must_not_run)
+        raw = cube_config()
+        raw["codebook"] = {"bits": bits, "mode": mode}
+        scn = tmp_path / "bits.json"
+        scn.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+        assert "codebook.bits" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section,key,value",
