@@ -73,7 +73,8 @@ class EmitterState:
     def bit_at_local(self, tau: float) -> tuple[int, int]:
         """(bit index, bit value) lit at flasher-local time tau."""
         index = math.floor(tau / self.bit_period)
-        return index, self.word.bits[index % self.word.n]
+        n = self.word.n
+        return index, (self.word.value >> (n - 1 - index % n)) & 1
 
     def bit_at(self, shared_t: float) -> tuple[int, int]:
         """(bit index, bit value) lit at shared-timeline instant shared_t."""

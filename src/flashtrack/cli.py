@@ -19,6 +19,7 @@ from . import channel, codec, scenario, signal
 from .codebook import (
     codebook_from_json,
     codebook_to_json,
+    generate_codebook,
     generate_initial_codebook,
     generate_robust_codebook,
     necklace_count,
@@ -57,14 +58,8 @@ def _parse_bits_range(text: str) -> range:
     return range(n, n + 1)
 
 
-def _generate(n: int, mode: str):
-    if mode == "initial":
-        return generate_initial_codebook(n)
-    return generate_robust_codebook(n)
-
-
 def cmd_codebook_gen(args) -> int:
-    book, lut = _generate(args.bits, args.mode)
+    book, lut = generate_codebook(args.bits, args.mode)
     _emit(json.dumps(codebook_to_json(book, lut), sort_keys=True), args.out)
     return 0
 

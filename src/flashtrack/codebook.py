@@ -297,6 +297,13 @@ def generate_robust_codebook(n: int) -> tuple[Codebook, LookupTable]:
     return _generate(n, "robust")
 
 
+def generate_codebook(n: int, mode: str) -> tuple[Codebook, LookupTable]:
+    """The initial or the robust book of n-bit words, by mode."""
+    if mode not in TRIVIAL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return generate_robust_codebook(n) if mode == "robust" else generate_initial_codebook(n)
+
+
 def brute_force_max_codebook(n: int) -> int:
     """Size of a maximum mutually-non-overlapping class set, exactly.
 

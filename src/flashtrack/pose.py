@@ -85,10 +85,13 @@ class Pose:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if np.abs(r @ r.T - np.eye(3)).max() > ORTHONORMALITY_TOL:
+        # written so that a NaN fails each test
+        if not np.abs(r @ r.T - np.eye(3)).max() <= ORTHONORMALITY_TOL:
             raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= ORTHONORMALITY_TOL:
             raise ValueError("rotation determinant is not +1")
+        if not np.isfinite(t).all():
+            raise ValueError("translation is not finite")
 
     @classmethod
     def identity(cls) -> "Pose":

@@ -2,14 +2,18 @@
 
 A scenario file describes flashers (positions, codes, clocks), the
 camera (intrinsics, sensor timing, clock), a camera trajectory,
-heartbeat settings, noise levels, and the code-book to use. `run`
-composes the library per frame: `channel` samples and renders each
-flash bit through the drifting clocks, `signal` tracks the detections
-and classifies them back into bits, `codec` assigns and decodes the
-identifiers, and `pose` recovers the camera from the flasher map, handed
-the previous frame's fix as its start (none after a frame without one). The
-report records per-flasher lock-on and error events, per-frame
-detections and pose errors against ground truth, and summary statistics.
+heartbeat settings, noise levels, and the code-book to use; `FIELDS`
+holds every key with its type, bounds and default. `from_dict` checks a
+file against it, then across fields, naming every fault a stage finds in
+one ConfigError, and only then builds the code-book. `run` trusts the config
+it is handed and composes the library per frame: `channel` samples and
+renders each flash bit through the drifting clocks, `signal` tracks the
+detections and classifies them back into bits, `codec` assigns and
+decodes the identifiers, and `pose` recovers the camera from the flasher
+map, handed the previous frame's fix as its start (none after a frame
+without one). The report records per-flasher lock-on and error events,
+per-frame detections and pose errors against ground truth, and summary
+statistics.
 
 Detections are synthesized directly at the projected flash pixels
 (plus configured pixel noise) rather than rasterized into frames; each
@@ -29,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +45,9 @@ from .codebook import (
     MAX_BITS,
     MIN_BITS_INITIAL,
     MIN_BITS_ROBUST,
-    generate_initial_codebook,
-    generate_robust_codebook,
+    Codebook,
+    LookupTable,
+    generate_codebook,
 )
 from .pose import CameraIntrinsics, Pose
 
@@ -49,21 +56,140 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; message lists offending fields."""
 
 
-#: the keys each config section may hold; any other key is a ConfigError
-CONFIG_KEYS = {
-    "": {"flashers", "camera", "trajectory", "heartbeat", "noise", "codebook", "duration_s",
-         "seed", "visibility_radius_m", "gating_radius_px"},
-    "flashers[]": {"id", "position_m", "scheme", "clock_ppm", "bit_period_s"},
-    "camera": {"intrinsics", "sensor", "clock_ppm"},
-    "camera.intrinsics": {"fx_px", "fy_px", "cx_px", "cy_px", "image_size"},
-    "camera.sensor": {"kind", "fps", "rows", "row_readout_s", "exposure_mid_s"},
-    "trajectory[]": {"t_s", "rotation", "translation_m"},
-    "heartbeat": {"enabled", "period_s", "timeout_s"},
-    "noise": {"intensity_sigma", "hue_sigma", "pixel_sigma"},
-    "codebook": {"bits", "mode"},
-}
-#: most frames one run may play, floor(duration_s * fps) + 1
+#: most frames one run may play, floor(duration_s * fps) + 1, and most heartbeat
+#: report entries, one per flasher and one for the tracker at each pulse
 MAX_FRAMES = 1_000_000
+#: longest frame period and exposure_mid_s in seconds, about 32 years
+MAX_TIME_S = 1e9
+#: most rows or columns of the image or the sensor
+MAX_PIXELS = 1 << 31
+REQUIRED = MISSING = object()  # a default that must be given; a key not given
+
+
+class Field(NamedTuple):
+    """One config value: kind, bounds and default (REQUIRED: none).
+
+    kind is float (finite; an int reads as float), int, bool or str. A value
+    in choices is taken as it is, and a str field takes nothing else. With
+    length set the value is a list of that many, each checked alone.
+    """
+
+    kind: type
+    default: object = REQUIRED
+    low: float | None = None
+    above: float | None = None  # a bound the value must exceed
+    high: float | None = None
+    choices: tuple = ()
+    length: int | None = None
+
+    def read(self, value):
+        """value checked, with the default filled in; a ConfigError names its fault."""
+        if value is MISSING and self.default is REQUIRED:
+            raise ConfigError("missing")
+        if value is MISSING or value in self.choices:
+            return self.default if value is MISSING else value
+        if self.length is not None:
+            if not isinstance(value, list) or len(value) != self.length:
+                raise ConfigError(f"expected {self.length} values")
+            return tuple(self._replace(length=None).read(item) for item in value)
+        kinds = {float: (int, float), int: int, bool: bool}.get(self.kind, ())
+        if not isinstance(value, kinds) or isinstance(value, bool) != (self.kind is bool):
+            expected = [self.kind.__name__] * (self.kind is not str) + list(map(repr, self.choices))
+            raise ConfigError("expected " + " or ".join(expected))
+        if self.kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError("must be finite")
+        if self.low is not None and value < self.low:
+            raise ConfigError(
+                f"must be at least {self.low:g}" if self.low else "must not be negative")
+        if self.above is not None and value <= self.above:
+            raise ConfigError(f"must be above {self.above:g}" if self.above else "must be positive")
+        if self.high is not None and value > self.high:
+            raise ConfigError(f"must be at most {self.high:g}")
+        return float(value) if self.kind is float else value
+
+
+#: a clock may not stop or run backwards, nor run twice as fast as true time
+PPM = Field(float, 0.0, above=-1e6, high=1e6)
+#: the pose solve's SVD fails once squared coordinates overflow, near 1e154 m
+COORDINATES = Field(float, length=3, low=-1e6, high=1e6)
+
+#: every key of a scenario file, any other being a ConfigError: a dict is a section, a
+#: one-item list a list of sections. Comments name the checks made across fields.
+FIELDS = {
+    "flashers": [{  # at most the code-book size
+        "position_m": COORDINATES,
+        "scheme": Field(str, choices=("hue", "intensity")),  # one for all flashers
+        "clock_ppm": PPM,
+        # a nanosecond: every bit index floor(t / bit_period_s) of a run stays a
+        # finite integer, and a gigahertz flash is far past any camera's sampling
+        "bit_period_s": Field(float, low=1e-9),
+        "id": Field(int, "auto", low=1, choices=("auto",)),  # distinct, at most the book size
+    }],
+    "camera": {
+        "intrinsics": {
+            "fx_px": Field(float, above=0),
+            "fy_px": Field(float, above=0),
+            "cx_px": Field(float),
+            "cy_px": Field(float),
+            "image_size": Field(int, None, low=1, high=MAX_PIXELS, length=2),  # rows, cols
+        },
+        "sensor": {
+            "kind": Field(str, choices=channel.SENSOR_KINDS),
+            "fps": Field(float, low=1 / MAX_TIME_S),
+            "rows": Field(int, 1, low=1, high=MAX_PIXELS),  # a cmos sweep fits in a frame
+            "row_readout_s": Field(float, 0.0, low=0),
+            "exposure_mid_s": Field(float, 0.0, low=0, high=MAX_TIME_S),
+        },
+        "clock_ppm": PPM,
+    },
+    "trajectory": [{  # at least one knot, times strictly increasing
+        "t_s": Field(float),
+        "rotation": Field(float, length=9),  # row-major, orthonormal, determinant +1
+        "translation_m": COORDINATES,
+    }],
+    "heartbeat": {
+        "enabled": Field(bool, False),
+        "period_s": Field(float, 0.0, above=0),  # given when enabled; MAX_FRAMES entries
+        "timeout_s": Field(float, math.inf, low=0),  # omitted, emitters never sleep
+    },
+    "noise": {key: Field(float, 0.0, low=0)
+              for key in ("intensity_sigma", "hue_sigma", "pixel_sigma")},
+    "codebook": {
+        "bits": Field(int, low=MIN_BITS_INITIAL, high=MAX_BITS),  # robust: from MIN_BITS_ROBUST
+        "mode": Field(str, choices=("initial", "robust")),
+    },
+    "duration_s": Field(float, above=0),  # MAX_FRAMES frames
+    "seed": Field(int, low=0),
+    "visibility_radius_m": Field(float, math.inf, above=0),  # omitted, unbounded
+    "gating_radius_px": Field(float, 20.0, above=0),
+}
+
+
+def _walk(spec, value, name: str, errors: list[str]):
+    """value read through one FIELDS entry into its shape; a refused value reads None."""
+    if isinstance(spec, Field):
+        try:
+            return spec.read(value)
+        except ConfigError as exc:
+            errors.append(f"{name}: {exc}")
+            return None
+    if value is not MISSING and not isinstance(value, type(spec)):
+        errors.append(f"{name or 'scenario'}: expected {type(spec).__name__}")
+        value, errors = MISSING, []  # read as empty, its keys not named missing
+    if isinstance(spec, list):
+        items = [] if value is MISSING else value
+        return [_walk(spec[0], item, f"{name}[{i}]", errors) for i, item in enumerate(items)]
+    value = {} if value is MISSING else value
+    prefix = f"{name}." if name else ""
+    errors.extend(f"{prefix}{key}: unknown key" for key in sorted(set(value) - set(spec), key=str))
+    return {key: _walk(sub, value.get(key, MISSING), prefix + key, errors)
+            for key, sub in spec.items()}
+
+
+def _frame_count(duration_s: float, fps: float) -> float:
+    """Frames a run plays, floor(duration_s * fps) + 1, or inf past MAX_FRAMES."""
+    frames = duration_s / (1.0 / fps)
+    return math.floor(frames) + 1 if frames < MAX_FRAMES else math.inf
 
 
 @dataclass
@@ -88,190 +214,74 @@ class ScenarioConfig:
     intensity_sigma: float
     hue_sigma: float
     pixel_sigma: float
-    codebook_bits: int
-    codebook_mode: str
+    book: Codebook
+    lut: LookupTable
     duration_s: float
     seed: int
-    visibility_radius_m: float = math.inf
-    gating_radius_px: float = 20.0
+    visibility_radius_m: float
+    gating_radius_px: float
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """Check raw against FIELDS, then across fields, then build the code-book."""
         errors: list[str] = []
-
-        def need(container, key, kind, path, default=None, required=True):
-            name = f"{path}.{key}" if path else key
-            if key not in container:
-                if required:
-                    errors.append(f"{name}: missing")
-                return default
-            value = container[key]
-            if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-                if math.isfinite(value):
-                    return float(value)
-                errors.append(f"{name}: must be finite")
-                return default
-            if kind is int and isinstance(value, int) and not isinstance(value, bool):
-                return value
-            if kind is bool and isinstance(value, bool):
-                return value
-            if kind in (list, dict, str) and isinstance(value, kind):
-                return value
-            errors.append(f"{name}: expected {kind.__name__}")
-            return default
-
-        def section(container, path, table=None):
-            """container, or {} if it is no dict; keys not in CONFIG_KEYS are errors."""
-            if not isinstance(container, dict):
-                errors.append(f"{path or 'scenario'}: expected dict")
-                return {}
-            for key in sorted(set(container) - CONFIG_KEYS[table or path], key=str):
-                errors.append(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-            return container
-
-        raw = section(raw, "")
-        flashers = []
-        for i, f in enumerate(raw.get("flashers", [])):
-            path = f"flashers[{i}]"
-            f = section(f, path, "flashers[]")
-            position = need(f, "position_m", list, path, default=[0, 0, 0])
-            if len(position) != 3:
-                errors.append(f"{path}.position_m: expected 3 values")
-            scheme = need(f, "scheme", str, path, default="hue")
-            if scheme not in ("hue", "intensity"):
-                errors.append(f"{path}.scheme: expected hue or intensity")
-            bit_period = need(f, "bit_period_s", float, path, default=1.0)
-            if bit_period is not None and bit_period <= 0:
-                errors.append(f"{path}.bit_period_s: must be positive")
-            ident = f.get("id")
-            if ident is not None and ident != "auto" and not isinstance(ident, int):
-                errors.append(f"{path}.id: expected integer or 'auto'")
-            flashers.append(
-                FlasherSpec(
-                    np.asarray(position, dtype=float),
-                    scheme,
-                    need(f, "clock_ppm", float, path, default=0.0, required=False),
-                    bit_period or 1.0,
-                    ident if isinstance(ident, int) else None,
-                )
-            )
-        if flashers and len({f.scheme for f in flashers}) > 1:
-            errors.append("flashers: all flashers must share one scheme")
-
-        cam = section(raw.get("camera", {}), "camera")
-        camera_ppm = need(cam, "clock_ppm", float, "camera", default=0.0, required=False)
-        intr = section(cam.get("intrinsics", {}), "camera.intrinsics")
-        intrinsics = None
-        try:
-            intrinsics = CameraIntrinsics(
-                need(intr, "fx_px", float, "camera.intrinsics", default=1.0),
-                need(intr, "fy_px", float, "camera.intrinsics", default=1.0),
-                need(intr, "cx_px", float, "camera.intrinsics", default=0.0),
-                need(intr, "cy_px", float, "camera.intrinsics", default=0.0),
-                tuple(intr["image_size"]) if "image_size" in intr else None,
-            )
-        except (ValueError, TypeError) as exc:
-            errors.append(f"camera.intrinsics: {exc}")
-
-        sen = section(cam.get("sensor", {}), "camera.sensor")
-        rows = need(sen, "rows", int, "camera.sensor", default=1, required=False)
-        if rows < 1:
-            errors.append("camera.sensor.rows: must be at least 1")
-        timing = []
-        for key in ("row_readout_s", "exposure_mid_s"):
-            timing.append(need(sen, key, float, "camera.sensor", default=0.0, required=False))
-            if timing[-1] < 0:
-                errors.append(f"camera.sensor.{key}: must not be negative")
-        sensor = None
-        try:
-            sensor = channel.SensorTiming(
-                need(sen, "kind", str, "camera.sensor", default="ccd"),
-                need(sen, "fps", float, "camera.sensor", default=30.0),
-                rows,
-                *timing,
-            )
-        except (ValueError, TypeError) as exc:
-            errors.append(f"camera.sensor: {exc}")
-
-        trajectory = []
-        for i, knot in enumerate(raw.get("trajectory", [])):
-            path = f"trajectory[{i}]"
-            knot = section(knot, path, "trajectory[]")
-            t = need(knot, "t_s", float, path, default=0.0)
-            rot = need(knot, "rotation", list, path, default=list(np.eye(3).ravel()))
-            trans = need(knot, "translation_m", list, path, default=[0, 0, 0])
-            try:
-                trajectory.append(
-                    (t, Pose(np.asarray(rot, dtype=float).reshape(3, 3), trans))
-                )
-            except (ValueError, TypeError) as exc:
-                errors.append(f"{path}: {exc}")
-        if not trajectory:
-            errors.append("trajectory: at least one pose required")
-        elif any(b[0] <= a[0] for a, b in zip(trajectory, trajectory[1:])):
-            errors.append("trajectory: knot times must be strictly increasing")
-
-        hb = section(raw.get("heartbeat", {}), "heartbeat")
-        hb_enabled = need(hb, "enabled", bool, "heartbeat", default=False, required=False)
-        hb_period = need(hb, "period_s", float, "heartbeat", required=hb_enabled)
-        # a pulse period that is not positive would never advance the pulse loop
-        if hb_enabled and hb_period is not None and hb_period <= 0:
-            errors.append("heartbeat.period_s: must be positive when enabled")
-        # omitted, emitters never sleep; 0 is a real timeout, not "unset"
-        hb_timeout = need(hb, "timeout_s", float, "heartbeat", default=math.inf, required=False)
-        if hb_timeout < 0:
-            errors.append("heartbeat.timeout_s: must not be negative")
-        noise = section(raw.get("noise", {}), "noise")
-        floats = {}
-        for key in ("intensity_sigma", "hue_sigma", "pixel_sigma"):
-            floats[key] = need(noise, key, float, "noise", default=0.0, required=False)
-            if floats[key] < 0:
-                errors.append(f"noise.{key}: must not be negative")
-        # omitted, the visibility radius is unbounded
-        for key, default in (("visibility_radius_m", math.inf), ("gating_radius_px", 20.0)):
-            floats[key] = need(raw, key, float, "", default=default, required=False)
-            if floats[key] <= 0:
-                errors.append(f"{key}: must be positive")
-        book = section(raw.get("codebook", {}), "codebook")
-        mode = need(book, "mode", str, "codebook", default="robust")
-        if mode not in ("initial", "robust"):
-            errors.append("codebook.mode: expected initial or robust")
-        bits = need(book, "bits", int, "codebook", default=12)
-        # an unknown mode is already an error; check bits against the looser bound
-        low = MIN_BITS_ROBUST if mode == "robust" else MIN_BITS_INITIAL
-        if not low <= bits <= MAX_BITS:
-            errors.append(f"codebook.bits: {bits} outside {low}..{MAX_BITS} for mode {mode!r}")
-
-        duration = need(raw, "duration_s", float, "")
-        if duration is not None and duration <= 0:
-            errors.append("duration_s: must be positive")
-        elif duration is not None and sensor is not None and duration * sensor.fps >= MAX_FRAMES:
-            errors.append(f"duration_s: more than {MAX_FRAMES} frames at {sensor.fps:g} fps")
-        # pulses fire at 0, period_s, 2 * period_s, ...: floor(duration_s / period_s) + 1
-        if (
-            hb_enabled and hb_period is not None and hb_period > 0
-            and duration is not None and duration > 0 and duration / hb_period >= MAX_FRAMES
-        ):
-            errors.append(f"heartbeat.period_s: more than {MAX_FRAMES} pulses in {duration:g} s")
-        seed = need(raw, "seed", int, "")
-
+        v = _walk(FIELDS, raw, "", errors)
+        flashers, camera, hb, cb = v["flashers"], v["camera"], v["heartbeat"], v["codebook"]
+        if cb["mode"] == "robust" and cb["bits"] is not None and cb["bits"] < MIN_BITS_ROBUST:
+            errors.append(f"codebook.bits: must be at least {MIN_BITS_ROBUST} in mode 'robust'")
         if errors:
             raise ConfigError("invalid scenario config:\n  " + "\n  ".join(errors))
 
+        if len({f["scheme"] for f in flashers}) > 1:
+            errors.append("flashers: all flashers must share one scheme")
+        trajectory = []
+        for i, knot in enumerate(v["trajectory"]):
+            try:
+                trajectory.append((knot["t_s"], Pose(knot["rotation"], knot["translation_m"])))
+            except ValueError as exc:
+                errors.append(f"trajectory[{i}].rotation: {exc}")
+        if not v["trajectory"]:
+            errors.append("trajectory: at least one pose required")
+        elif any(b[0] <= a[0] for a, b in zip(trajectory, trajectory[1:])):
+            errors.append("trajectory: knot times must be strictly increasing")
+        sensor = None
+        try:
+            sensor = channel.SensorTiming(*camera["sensor"].values())
+        except ValueError as exc:
+            errors.append(f"camera.sensor: {exc}")
+        frames = _frame_count(v["duration_s"], camera["sensor"]["fps"])
+        if frames == math.inf:
+            errors.append(f"duration_s: more than {MAX_FRAMES} frames at camera.sensor.fps")
+        if hb["enabled"] and hb["period_s"] == 0.0:  # the default: none was given
+            errors.append("heartbeat.period_s: missing, required when enabled")
+        elif hb["enabled"] and sensor and frames < math.inf:
+            # pulses fire at 0, period_s, ... up to the last frame's instant, which only a
+            # fast tracker clock moves later; each adds an entry per flasher and tracker
+            fastest = channel.ClockModel(max(camera["clock_ppm"], 0.0))
+            last = channel.sample_time(sensor, fastest, frames - 1)
+            if (min(last // hb["period_s"], MAX_FRAMES) + 1) * (len(flashers) + 1) > MAX_FRAMES:
+                errors.append(f"heartbeat.period_s: more than {MAX_FRAMES} pulses over all units")
+
+        if not errors:
+            codebook, lut = generate_codebook(cb["bits"], cb["mode"])
+            if len(flashers) > len(codebook):
+                errors.append(f"flashers: {len(flashers)} exceed the book size {len(codebook)}")
+            first: dict[int, int] = {}
+            for i, ident in enumerate(f["id"] for f in flashers):
+                if ident != "auto" and ident > len(codebook):
+                    errors.append(f"flashers[{i}].id: past the book size {len(codebook)}")
+                elif ident != "auto" and first.setdefault(ident, i) != i:
+                    errors.append(f"flashers[{i}].id: taken by flashers[{first[ident]}]")
+        if errors:
+            raise ConfigError("invalid scenario config:\n  " + "\n  ".join(errors))
+
+        # the table's order is the constructors' argument order
+        specs = [FlasherSpec(np.asarray(position), *rest, None if ident == "auto" else ident)
+                 for position, *rest, ident in (f.values() for f in flashers)]
         return cls(
-            flashers=flashers,
-            intrinsics=intrinsics,
-            sensor=sensor,
-            camera_clock_ppm=camera_ppm,
-            trajectory=trajectory,
-            heartbeat_enabled=hb_enabled,
-            heartbeat_period_s=hb_period or 0.0,
-            heartbeat_timeout_s=hb_timeout,
-            codebook_bits=bits,
-            codebook_mode=mode,
-            duration_s=duration,
-            seed=seed,
-            **floats,
+            specs, CameraIntrinsics(*camera["intrinsics"].values()), sensor, camera["clock_ppm"],
+            trajectory, *hb.values(), *v["noise"].values(), codebook, lut,
+            v["duration_s"], v["seed"], v["visibility_radius_m"], v["gating_radius_px"],
         )
 
 
@@ -353,31 +363,18 @@ def _rms(values: list[float]) -> float | None:
 def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     """Play a scenario frame by frame; deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
-    generate = (
-        generate_robust_codebook
-        if config.codebook_mode == "robust"
-        else generate_initial_codebook
-    )
-    book, lut = generate(config.codebook_bits)
-    if len(config.flashers) > len(book):
-        raise ConfigError(
-            f"{len(config.flashers)} flashers exceed code-book size {len(book)}"
-        )
 
     # identifier assignment: explicit ids win, the rest greedy by distance
     taken = {f.identifier for f in config.flashers if f.identifier is not None}
-    for ident in taken:
-        if not 1 <= ident <= len(book):
-            raise ConfigError(f"flasher id {ident} outside 1..{len(book)}")
     auto = [f.position for f in config.flashers if f.identifier is None]
-    free = set(range(1, len(book) + 1)) - taken
-    picks = iter(codec.assign_ids(auto, config.visibility_radius_m, book, free).values())
+    free = set(range(1, len(config.book) + 1)) - taken
+    picks = iter(codec.assign_ids(auto, config.visibility_radius_m, config.book, free).values())
     # assigned identifiers stay local: the caller's config is left as given
     identifiers = [next(picks) if f.identifier is None else f.identifier for f in config.flashers]
 
     emitters = [
         channel.EmitterState(
-            book.word(ident), f.bit_period_s, channel.ClockModel(f.clock_ppm)
+            config.book.word(ident), f.bit_period_s, channel.ClockModel(f.clock_ppm)
         )
         for f, ident in zip(config.flashers, identifiers)
     ]
@@ -386,8 +383,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     bitizer = signal.HueBitizer if scheme == "hue" else signal.IntensityBitizer
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
-    frame_period = 1.0 / config.sensor.fps
-    n_frames = int(math.floor(config.duration_s / frame_period)) + 1
+    n_frames = _frame_count(config.duration_s, config.sensor.fps)
 
     tracks: list[signal.SampleTrace] = []
     track_states: dict[int, _TrackState] = {}
@@ -462,7 +458,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 continue
             st = track_states.get(tr.track_id)
             if st is None:
-                st = _TrackState(bitizer(config.codebook_bits), codec.StreamDecoder(lut))
+                st = _TrackState(bitizer(config.book.n), codec.StreamDecoder(config.lut))
                 track_states[tr.track_id] = st
             sample = tr.samples[-1]
             fs = flasher_states[sample.source]

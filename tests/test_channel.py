@@ -98,6 +98,14 @@ class TestEmitterState:
         assert em.bit_at_local(0.74) == (1, 1)
         assert em.bit_at_local(2.1) == (4, 0)
 
+    @pytest.mark.parametrize("text", ["0111", "0010111", "000011011101", "1"])
+    def test_bit_at_local_reads_the_word_bits(self, text):
+        word = BitWord.from_string(text)
+        n = word.n
+        em = EmitterState(word, bit_period=1.0, clock=ClockModel(0.0))
+        for i in range(-2 * n, 2 * n + 1):
+            assert em.bit_at_local(i + 0.5) == (i, word.bits[i % n])
+
 
 class TestSensorTiming:
     def test_cmos_sweep_must_fit_frame(self):

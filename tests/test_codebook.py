@@ -14,6 +14,7 @@ from flashtrack.codebook import (
     canonical_rotation,
     codebook_from_json,
     codebook_to_json,
+    generate_codebook,
     generate_initial_codebook,
     generate_robust_codebook,
     necklace_count,
@@ -95,8 +96,7 @@ def reference_generate(n: int, mode: str) -> tuple[list[int], np.ndarray]:
 
 
 def assert_matches_reference(n, mode, ref_words, ref_table):
-    gen = generate_robust_codebook if mode == "robust" else generate_initial_codebook
-    book, lut = gen(n)
+    book, lut = generate_codebook(n, mode)
     assert [w.value for w in book.words] == ref_words
     assert lut.entries.dtype == ref_table.dtype
     assert np.array_equal(lut.entries, ref_table)
@@ -303,6 +303,15 @@ class TestValidation:
             generate_robust_codebook(3)
         with pytest.raises(ValueError):
             generate_robust_codebook(25)
+
+    def test_generate_codebook_by_mode(self):
+        generators = {"initial": generate_initial_codebook, "robust": generate_robust_codebook}
+        for mode, gen in generators.items():
+            book, lut = generate_codebook(8, mode)
+            assert (book.n, book.mode, lut.mode) == (8, mode, mode)
+            assert book.words == gen(8)[0].words
+        with pytest.raises(ValueError):
+            generate_codebook(8, "fast")
 
     def test_unknown_identifier_rejected(self, robust_books):
         book, _ = robust_books[4]

@@ -44,6 +44,16 @@ class TestPoseType:
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 2.0, [0, 0, 0])
 
+    def test_non_finite_rotation_rejected(self):
+        for bad in (np.full((3, 3), np.nan), np.where(np.eye(3) == 1, np.inf, 0.0)):
+            with pytest.raises(ValueError, match="orthonormal"):
+                Pose(bad, [0, 0, 0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_translation_rejected(self, value):
+        with pytest.raises(ValueError, match="translation"):
+            Pose(np.eye(3), [0.0, value, 4.0])
+
     def test_reflection_rejected(self):
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):

@@ -1,14 +1,21 @@
 """End-to-end scenario runs and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from flashtrack import cli
+from flashtrack import cli, codebook, scenario
 from flashtrack import pose as pose_mod
-from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST
+from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST, BitWord, Codebook
 from flashtrack.scenario import (
     MAX_FRAMES,
     ConfigError,
@@ -70,6 +77,69 @@ def cube_config(tracker_ppm=0.0, duration=0.65, scheme="hue", seed=7):
         "duration_s": duration,
         "seed": seed,
     }
+
+
+def mutated(*changes):
+    """cube_config() with each (key path, value) change made."""
+    raw = cube_config()
+    for path, value in changes:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return raw
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("reached with a config from_dict must refuse")
+
+
+NAN = float("nan")
+IMAGE_SIZE = ("camera", "intrinsics", "image_size")
+#: (the field an error must name, the changes to cube_config() that from_dict refuses)
+BAD_INPUTS = [
+    ("flashers", [(("flashers",), 5)]),
+    ("camera.intrinsics.image_size", [(IMAGE_SIZE, [480])]),
+    ("camera.intrinsics.image_size", [(IMAGE_SIZE, "ab")]),
+    ("camera.intrinsics.image_size", [(IMAGE_SIZE, [-1, 0])]),
+    ("flashers[0].bit_period_s", [(("flashers", 0, "bit_period_s"), 1e-320)]),
+    ("flashers[0].position_m", [(("flashers", 0, "position_m"), ["a", 0, 0])]),
+    ("flashers[0].position_m", [(("flashers", 0, "position_m"), [[1], 0, 0])]),
+    ("flashers[0].position_m", [(("flashers", 0, "position_m"), [NAN, 0, 0])]),
+    ("flashers[0].position_m", [(("flashers", 0, "position_m"), [0, 0, 1e200])]),
+    ("trajectory", [(("trajectory",), 5)]),
+    ("trajectory[0].translation_m", [(("trajectory", 0, "translation_m"), [NAN, 0, 4])]),
+    ("trajectory[0].rotation", [(("trajectory", 0, "rotation"), [NAN] * 9)]),
+    ("flashers[0].id", [(("flashers", 0, "id"), 0)]),
+    ("flashers[0].id", [(("flashers", 0, "id"), 999)]),
+    ("flashers[0].id", [(("flashers", 0, "id"), True)]),
+    ("flashers[1].id", [(("flashers", 0, "id"), 3), (("flashers", 1, "id"), 3)]),
+    ("flashers", [(("codebook",), {"bits": 7, "mode": "robust"})]),
+    ("seed", [(("seed",), -1)]),
+    ("camera.clock_ppm", [(("camera", "clock_ppm"), -1e6)]),
+    ("flashers[0].clock_ppm", [(("flashers", 0, "clock_ppm"), -1e7)]),
+    ("camera.sensor.fps", [(("camera", "sensor", "fps"), 5e-324)]),
+]
+
+
+def key_paths(node, path=()):
+    """Every key path into a JSON value, the empty path first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield from key_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["auto", "intensity", "cmos", "initial"]),
+    lambda inner: st.lists(inner, max_size=10)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+#: numbers weighted up, so that a fair share of mutated configs pass
+VALUES = st.integers(-3, 30) | st.floats() | JSON_VALUES
 
 
 class TestScenarioCube:
@@ -381,16 +451,90 @@ class TestScenarioConfig:
         assert ScenarioConfig.from_dict(raw).heartbeat_period_s == 1e-5
 
     @pytest.mark.parametrize("mode,bits,accepted", BITS_EDGES)
-    def test_codebook_bits_checked_per_mode(self, mode, bits, accepted):
+    def test_codebook_bits_checked_per_mode(self, mode, bits, accepted, monkeypatch):
         raw = cube_config()
         raw["codebook"] = {"bits": bits, "mode": mode}
         if accepted:
-            assert ScenarioConfig.from_dict(raw).codebook_bits == bits
+            # an 8-word stand-in: the real n = 24 books take seconds to build, and
+            # the smallest hold one word, too few for the cube's 8 flashers
+            words = [BitWord(1, bits)] * 8
+            stand_in = lambda n, m: (Codebook(n, m, words), None)  # noqa: E731
+            monkeypatch.setattr(scenario, "generate_codebook", stand_in)
+            config = ScenarioConfig.from_dict(raw)
+            assert (config.book.n, config.book.mode) == (bits, mode)
             return
         raw["duration_s"] = -1  # the same single error names both fields
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(raw)
         assert "codebook.bits" in str(exc.value) and "duration_s" in str(exc.value)
+
+    @pytest.mark.parametrize("name,changes", BAD_INPUTS)
+    def test_bad_input_named(self, name, changes):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(mutated(*changes))
+        assert f"{name}:" in str(exc.value)
+
+    def test_heartbeat_entries_capped(self):
+        # the report keeps one entry per flasher and one for the tracker per
+        # pulse: 2e-6 s would fire 508,334 pulses by the last frame, 4.6 million entries
+        raw = cube_config(duration=1.0)
+        raw["heartbeat"] = {"enabled": True, "period_s": 2e-6}
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert "heartbeat.period_s: more than" in str(exc.value)
+
+    def test_book_built_once(self, monkeypatch):
+        calls = []
+        build = codebook._generate
+        monkeypatch.setattr(
+            codebook, "_generate", lambda n, mode: calls.append((n, mode)) or build(n, mode)
+        )
+        run(ScenarioConfig.from_dict(cube_config()))
+        assert calls == [(12, "robust")]
+
+    def test_bad_fields_refused_before_the_book(self, monkeypatch):
+        # an n = 24 robust book would take tens of seconds to build
+        monkeypatch.setattr(codebook, "_generate", must_not_run)
+        raw = mutated((("codebook", "bits"), 24), (("seed",), -1))
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert "seed: must not be negative" in str(exc.value)
+
+    def test_readme_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("## Scenario files", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        config = ScenarioConfig.from_dict(json.loads(example))
+        config.duration_s = 0.2
+        report = run(config)
+        assert report.summary["frames"] == 7
+        assert len(report.per_flasher) == len(config.flashers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(list(key_paths(cube_config()))), value=VALUES, extra=st.booleans())
+    def test_any_json_value_gives_a_config_or_config_error(self, path, value, extra):
+        # a robust book of 13 to 24 bits takes from 10 ms to tens of seconds
+        small = isinstance(value, bool) or not isinstance(value, int) or value <= 12
+        assume(path != ("codebook", "bits") or small)
+        node = cube_config()
+        for key in path:
+            node = node[key]
+        if extra and isinstance(node, dict):
+            path += ("extra",)
+        raw = mutated((path, value)) if path else value
+        try:
+            config = ScenarioConfig.from_dict(raw)
+        except ConfigError:
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+                scn = Path(tmp) / "scenario.json"
+                scn.write_text(json.dumps(raw))
+                with mock.patch.object(cli.scenario, "run", must_not_run):
+                    assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+            return
+        # a short run: 0.2 s, and no more than 10 frames at a mutated frame rate
+        config.duration_s = min(config.duration_s, 0.2, 10 / config.sensor.fps)
+        report = run(config)
+        assert len(report.per_flasher) == len(config.flashers)
+        event("accepted")
 
     def test_explicit_ids_honoured(self):
         raw = cube_config()
@@ -491,6 +635,14 @@ class TestCli:
         assert cli.main(["simulate", "--scenario", str(scn), "--debug-truth"]) == 0
         debug = json.loads(capsys.readouterr().out)
         assert "truth_pose" in debug["per_frame"][0]
+
+    @pytest.mark.parametrize("name,changes", BAD_INPUTS)
+    def test_simulate_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, name, changes):
+        monkeypatch.setattr(cli.scenario, "run", must_not_run)
+        scn = tmp_path / "bad.json"
+        scn.write_text(json.dumps(mutated(*changes)))
+        assert cli.main(["simulate", "--scenario", str(scn)]) == 2
+        assert f"{name}:" in capsys.readouterr().err
 
     def test_simulate_invalid_config_exits_2(self, tmp_path, capsys):
         scn = tmp_path / "bad.json"
