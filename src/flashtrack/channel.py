@@ -177,8 +177,6 @@ def render_sample(
     intensity_sigma: float = 0.0,
     hue_sigma: float = 0.0,
     scale: float = 1.0,
-    high: float = DEFAULT_HIGH,
-    low: float = DEFAULT_LOW,
 ) -> tuple[float, float]:
     """(intensity, hue) of one flash showing bit.
 
@@ -188,7 +186,7 @@ def render_sample(
     only when its sigma is nonzero.
     """
     if scheme == "intensity":
-        level = (high if bit else low) * scale
+        level = (DEFAULT_HIGH if bit else DEFAULT_LOW) * scale
         if intensity_sigma:
             level += rng.normal(0.0, intensity_sigma)
         return level, 0.0
@@ -197,7 +195,7 @@ def render_sample(
     hue = HUE_HIGH_DEG if bit else HUE_LOW_DEG
     if hue_sigma:
         hue += rng.normal(0.0, hue_sigma)
-    return high * scale, hue % 360.0
+    return DEFAULT_HIGH * scale, hue % 360.0
 
 
 def render_samples(
@@ -208,22 +206,17 @@ def render_samples(
     intensity_sigma: float = 0.0,
     hue_sigma: float = 0.0,
     distance: float = 1.0,
-    high: float = DEFAULT_HIGH,
-    low: float = DEFAULT_LOW,
-    track_id: int = 0,
-    pixels=None,
 ) -> SampleTrace:
     """Turn (time, bit) pairs into photometric samples.
 
     Each sample is render_sample with levels scaled by inverse square
-    distance.
+    distance, at pixel (0, 0) of trace 0.
     """
     if distance <= 0:
         raise ValueError("distance must be positive")
     scale = 1.0 / (distance * distance)
-    trace = SampleTrace(track_id)
-    for k, (t, bit) in enumerate(bits):
-        pixel = tuple(pixels[k]) if pixels is not None else (0.0, 0.0)
-        level, hue = render_sample(bit, scheme, rng, intensity_sigma, hue_sigma, scale, high, low)
-        trace.append(FlashSample(t, level, hue, pixel))
+    trace = SampleTrace(0)
+    for t, bit in bits:
+        level, hue = render_sample(bit, scheme, rng, intensity_sigma, hue_sigma, scale)
+        trace.append(FlashSample(t, level, hue, (0.0, 0.0)))
     return trace

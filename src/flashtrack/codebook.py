@@ -51,7 +51,7 @@ class BitWord:
 
     @classmethod
     def from_string(cls, s: str) -> "BitWord":
-        if not s or set(s) - {"0", "1"}:
+        if not isinstance(s, str) or not s or set(s) - {"0", "1"}:
             raise ValueError(f"not a bit string: {s!r}")
         return cls(int(s, 2), len(s))
 
@@ -369,10 +369,40 @@ def codebook_to_json(cb: Codebook, lut: LookupTable) -> dict:
 
 
 def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
-    n = int(data["n"])
-    mode = data["mode"]
+    """Inverse of codebook_to_json; a malformed book raises ValueError.
+
+    The mode, the range of n, the table header, the word lengths and
+    every run (inside the table, identifier in 1..len(words)) are
+    checked before the table is allocated, and then that each word is
+    claimed by its own identifier.
+    """
+    if not isinstance(data, dict) or not isinstance(data.get("table"), dict):
+        raise ValueError("a book must be a JSON object with a table object")
+    n, mode, table = data["n"], data["mode"], data["table"]
+    if mode not in TRIVIAL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    low = MIN_BITS_ROBUST if mode == "robust" else MIN_BITS_INITIAL
+    if type(n) is not int or not low <= n <= MAX_BITS:
+        raise ValueError(f"n={n!r} out of range [{low}, {MAX_BITS}] for mode {mode}")
+    size = 2 << n
+    if table["encoding"] != "rle" or table["size"] != size:
+        raise ValueError(f"table must be rle-encoded with size {size}")
     words = [BitWord.from_string(s) for s in data["words"]]
-    entries = np.zeros(data["table"]["size"], dtype=np.uint32)
-    for start, length, ident in data["table"]["runs"]:
+    if any(w.n != n for w in words):
+        raise ValueError(f"every word must be {n} bits long")
+    runs = table["runs"]
+    for run in runs:
+        if not (isinstance(run, list) and len(run) == 3 and all(type(v) is int for v in run)):
+            raise ValueError(f"table run {run!r} is not three integers")
+        start, length, ident = run
+        if not 0 <= start < start + length <= size:
+            raise ValueError(f"table run {run} lies outside the {size} entries")
+        if not 1 <= ident <= len(words):
+            raise ValueError(f"table run {run} has identifier outside 1..{len(words)}")
+    entries = np.zeros(size, dtype=np.uint32)
+    for start, length, ident in runs:
         entries[start : start + length] = ident
+    for ident, w in enumerate(words, 1):
+        if entries[w.value] != ident:
+            raise ValueError(f"word {w} is not claimed by its identifier {ident}")
     return Codebook(n, mode, words), LookupTable(n, mode, entries)

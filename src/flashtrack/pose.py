@@ -276,20 +276,20 @@ def _dlt_pose(K, points, pixels) -> tuple[np.ndarray, np.ndarray]:
     p = vt[-1].reshape(3, 4)
     # fix scale and sign so rotation rows are unit and depths positive
     scale = np.linalg.norm(p[2, :3])
+    if not 0.0 < scale < np.inf:
+        raise DegenerateConfigurationError(f"DLT depth row has norm {scale}")
     p /= scale
     if np.median(hom @ p[2]) < 0:
         p = -p
     return _nearest_rotation(p[:, :3]), p[:, 3]
 
 
-# fan rotations: quarter turns about z, x, y and the body diagonal
-_SEED_AXIS_ANGLES = np.array(
-    [
-        np.array(axis) * angle
-        for axis in ([0, 0, 1], [1, 0, 0], [0, 1, 0], [1 / np.sqrt(3.0)] * 3)
-        for angle in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-    ]
-)
+# fan rotations: the identity and quarter turns about z, x, y and the body diagonal
+_SEED_AXIS_ANGLES = np.array([np.zeros(3)] + [
+    np.array(axis) * angle
+    for axis in ([0, 0, 1], [1, 0, 0], [0, 1, 0], [1 / np.sqrt(3.0)] * 3)
+    for angle in (np.pi / 2, np.pi, 3 * np.pi / 2)
+])
 
 
 def _seed_poses(points) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +310,7 @@ def solve_pnp(K: CameraIntrinsics, points, pixels, start: Pose | None = None) ->
     start is ignored. At 4 or 5, start (e.g. the previous frame's fix) is
     refined alone when it keeps every point in front, and returned when
     its final cost is at most 2 * m * WARM_RMS_PX**2 for m points;
-    otherwise the 16-seed rotation fan runs, with the same result as
+    otherwise the 13-seed rotation fan runs, with the same result as
     start=None.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)

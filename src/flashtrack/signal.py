@@ -11,7 +11,7 @@ transition, the two samples flanking it seed the high/low labels, and
 the labels are swept outward, toggling whenever a consecutive change
 reaches 40% of that largest jump.
 
-The detection half finds bright connected blobs in a frame, reduces
+The detection half finds bright 4-connected blobs in a frame, reduces
 each to an intensity-weighted centroid, and associates detections to
 existing tracks frame over frame by nearest neighbour within a gate.
 """
@@ -21,9 +21,9 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
-from scipy import ndimage
 
 HUE_HIGH_DEG = 0.0
 HUE_LOW_DEG = 240.0
@@ -84,34 +84,25 @@ def classify_hue(hues) -> list[int]:
 def classify_intensity(window) -> list[int]:
     """High/low bit per sample of one trailing intensity window.
 
-    Seeds on the largest consecutive jump, then sweeps outward in both
-    directions; a consecutive change of at least 40% of the seed jump
-    toggles the running state, anything smaller keeps it. Raises
+    The largest consecutive jump fixes its two samples' labels; every
+    other label toggles across a consecutive change of at least 40% of
+    that jump and holds across anything smaller. Raises
     NoTransitionError on a flat window (legal codes always transition).
     """
     x = np.asarray(window, dtype=float)
     if len(x) < 2:
         raise ValueError("window must hold at least 2 samples")
-    jumps = np.abs(np.diff(x))
+    jumps = np.abs(x[1:] - x[:-1])
     largest = float(jumps.max())
     if largest == 0.0:
         raise NoTransitionError("window has no intensity transition")
 
     k = int(jumps.argmax())
-    bits = np.empty(len(x), dtype=int)
-    if x[k + 1] > x[k]:
-        bits[k], bits[k + 1] = 0, 1
-    else:
-        bits[k], bits[k + 1] = 1, 0
-
-    threshold = TRANSITION_FRACTION * largest
-    for i in range(k - 1, -1, -1):
-        toggled = abs(x[i + 1] - x[i]) >= threshold
-        bits[i] = 1 - bits[i + 1] if toggled else bits[i + 1]
-    for i in range(k + 2, len(x)):
-        toggled = abs(x[i] - x[i - 1]) >= threshold
-        bits[i] = 1 - bits[i - 1] if toggled else bits[i - 1]
-    return bits.tolist()
+    toggles = (jumps >= TRANSITION_FRACTION * largest).tolist()
+    toggles[k] = True  # the largest jump always counts
+    parity = list(accumulate(toggles, int.__xor__, initial=0))  # toggles mod 2 up to each sample
+    flip = parity[k] ^ (not x[k + 1] > x[k])
+    return [p ^ flip for p in parity]
 
 
 class IntensityBitizer:
@@ -218,23 +209,41 @@ def detect_flashes(
     nms_radius collapse onto the brightest of them.
     """
     frame = np.asarray(frame, dtype=float)
-    if frame.size == 0:
-        raise ValueError("frame must be nonempty")
+    if frame.ndim != 2 or frame.size == 0:
+        raise ValueError(f"frame must be 2-D and nonempty, got shape {frame.shape}")
+    if hue is not None and np.shape(hue) != frame.shape:
+        raise ValueError(f"hue grid shape {np.shape(hue)} differs from frame shape {frame.shape}")
     mask = frame >= threshold
-    if not mask.any():
-        return []
-    labels, count = ndimage.label(mask)
-    index = np.arange(1, count + 1)
-    centroids = ndimage.center_of_mass(frame * mask, labels, index)
-    peaks = ndimage.maximum(frame, labels, index)
-    if hue is not None:
-        hues = ndimage.mean(np.asarray(hue, dtype=float), labels, index)
+    # union-find over horizontal runs of lit pixels: each pair of runs that
+    # touch vertically hooks its larger root onto the smaller until all agree,
+    # so a blob's root is its first run, and blobs are numbered in order of
+    # their first raster pixel
+    start = mask.copy()
+    start[:, 1:] &= ~mask[:, :-1]
+    run = (start.astype(np.intp).cumsum() - 1).reshape(mask.shape)  # run of each lit pixel
+    down = mask[:-1] & mask[1:]
+    down[:, 1:] &= ~down[:, :-1]  # one pair per overlap of two runs: its first column
+    a, b = run[:-1][down], run[1:][down]
+    root = np.arange(np.count_nonzero(start))
+    while (split := root[a] != root[b]).any():
+        ra, rb = root[a[split]], root[b[split]]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):  # follow roots to the top
+            root = up
+    blob = (np.cumsum(root == np.arange(len(root))) - 1)[root][run[mask]]
+    weight = frame[mask]
+    rows, cols = np.divmod(np.flatnonzero(mask), frame.shape[1])
+    # per-blob sums run in raster order
+    mass, row_sum, col_sum = (np.bincount(blob, w) for w in (weight, weight * rows, weight * cols))
+    if hue is None:
+        hues = np.zeros(len(mass))
     else:
-        hues = np.zeros(count)
-
+        hues = np.bincount(blob, np.asarray(hue, dtype=float)[mask]) / np.bincount(blob)
+    peaks = np.full(len(mass), -np.inf)
+    np.maximum.at(peaks, blob, weight)
     detections = [
         Detection((float(r), float(c)), float(p), float(h))
-        for (r, c), p, h in zip(centroids, peaks, hues)
+        for r, c, p, h in zip(row_sum / mass, col_sum / mass, peaks, hues)
     ]
     detections.sort(key=lambda d: -d.intensity)
     kept: list[Detection] = []

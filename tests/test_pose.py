@@ -139,6 +139,14 @@ class TestSolvePnp:
         with pytest.raises(DegenerateConfigurationError):
             solve_pnp(K, pts, pix)
 
+    def test_dlt_on_a_cube_scaled_past_the_svd_range_raises(self):
+        # at 1e200 the DLT's depth row comes out with norm 0
+        truth = Pose(exp_so3([0.1, -0.2, 0.05]), np.array([0.1, -0.2, 4.0]) * 1e200)
+        pts = cube_points() * 1e200
+        pix = np.array([project(K, truth, p) for p in pts])
+        with pytest.raises(DegenerateConfigurationError, match="depth row"):
+            solve_pnp(K, pts, pix)
+
     def test_fewer_than_four_points_raise(self):
         pts = cube_points()[:3]
         truth = Pose(np.eye(3), [0.0, 0.0, 4.0])
@@ -253,7 +261,7 @@ class TestWarmStart:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="F3: the cold 16-seed fan ends 3.0 m off at cost 5.5e4 px^2 without raising",
+        reason="F3: the cold 13-seed fan ends 3.0 m off at cost 5.5e4 px^2 without raising",
     )
     def test_f3_cold_fan_finds_the_truth(self):
         k, pts, pix = f3_problem()

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -610,6 +613,83 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["codebook", "gen", "--bits", "4"])
         assert exc.value.code == 1
+
+    @staticmethod
+    def bad_book(tmp_path, fault):
+        """The robust n = 4 book file with one fault written into it."""
+        data = codebook.codebook_to_json(*codebook.generate_robust_codebook(4))
+        fault(data)
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def assert_book_refused(self, path, capsys, message):
+        with pytest.raises(ValueError, match=message):
+            codebook.codebook_from_json(json.loads(path.read_text()))
+        for argv in (["decode", "--stream", "0111011101110111"], ["encode", "--id", "1"]):
+            assert cli.main([*argv, "--book", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
+
+    def test_book_run_past_the_table_start_refused(self, tmp_path, capsys):
+        path = self.bad_book(tmp_path, lambda d: d["table"]["runs"].append([-3, 2, 1]))
+        self.assert_book_refused(path, capsys, "lies outside the 32 entries")
+
+    def test_book_run_with_unknown_identifier_refused(self, tmp_path, capsys):
+        path = self.bad_book(tmp_path, lambda d: d["table"]["runs"].append([1, 1, 9]))
+        self.assert_book_refused(path, capsys, "identifier outside 1..1")
+
+    def test_book_word_the_table_does_not_claim_refused(self, tmp_path, capsys):
+        path = self.bad_book(tmp_path, lambda d: d["words"].append("0011"))
+        self.assert_book_refused(path, capsys, "word 0011 is not claimed by its identifier 2")
+
+    def test_book_table_size_refused_before_allocation(self, tmp_path, capsys):
+        path = self.bad_book(tmp_path, lambda d: d["table"].update(size=10**13))
+        with mock.patch.object(codebook.np, "zeros", side_effect=AssertionError("allocated")):
+            self.assert_book_refused(path, capsys, "size 32")
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda d: d.update(mode="greedy"), "unknown mode"),
+            (lambda d: d.update(n=3), "out of range"),
+            (lambda d: d.update(n="4"), "out of range"),
+            (lambda d: d["table"].update(encoding="dense"), "rle"),
+            (lambda d: d["table"]["runs"].append([30, 3, 1]), "lies outside"),
+            (lambda d: d["table"]["runs"].append([1, 1.0, 1]), "three integers"),
+            (lambda d: d.update(words=["01110"]), "4 bits long"),
+            (lambda d: d.update(words=[7]), "not a bit string"),
+            (lambda d: d.update(table=[]), "table object"),
+        ],
+        ids=[
+            "mode", "n-below-range", "n-string", "encoding", "run-past-end", "run-float",
+            "word-length", "word-not-string", "table-not-object",
+        ],
+    )
+    def test_book_header_and_run_faults_refused(self, tmp_path, capsys, fault, message):
+        self.assert_book_refused(self.bad_book(tmp_path, fault), capsys, message)
+
+    def test_book_file_that_is_not_an_object_refused(self, tmp_path, capsys):
+        path = tmp_path / "book.json"
+        path.write_text("[]")
+        self.assert_book_refused(path, capsys, "must be a JSON object")
+
+    def test_cli_import_and_blob_detection_load_no_scipy(self):
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np, flashtrack.cli\n"
+            "from flashtrack.signal import detect_flashes\n"
+            "frame = np.zeros((8, 8)); frame[2, 3:5] = 9.0\n"
+            "assert len(detect_flashes(frame, 1.0, 2.0)) == 1\n"
+            "print(sorted(m for m, v in sys.modules.items() if v and m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_domain_error_exits_2(self, tmp_path, capsys):
         book_path = tmp_path / "book.json"

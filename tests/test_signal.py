@@ -66,6 +66,35 @@ class TestClassifyIntensity:
             want = [bits_true[(start + i) % 12] for i in range(12)]
             assert got == want, (trial, window)
 
+    @staticmethod
+    def outward_sweep(window):
+        """Label the largest jump's two samples, then sweep out both ways."""
+        x = [float(v) for v in window]
+        jumps = [abs(b - a) for a, b in zip(x, x[1:])]
+        k = max(range(len(jumps)), key=lambda i: (jumps[i], -i))
+        threshold = 0.4 * jumps[k]
+        bits = [0] * len(x)
+        bits[k], bits[k + 1] = (0, 1) if x[k + 1] > x[k] else (1, 0)
+        for i in range(k - 1, -1, -1):
+            bits[i] = bits[i + 1] ^ (jumps[i] >= threshold)
+        for i in range(k + 2, len(x)):
+            bits[i] = bits[i - 1] ^ (jumps[i - 1] >= threshold)
+        return bits
+
+    def test_matches_outward_sweep_loop(self):
+        rng = np.random.default_rng(2026)
+        for trial in range(3000):
+            length = int(rng.integers(2, 25))
+            if trial % 3 == 0:
+                window = rng.normal(50.0, 20.0, length)
+            elif trial % 3 == 1:
+                window = np.where(rng.random(length) < 0.5, 100.0, 20.0) + rng.normal(0, 3, length)
+            else:
+                window = rng.integers(0, 4, length).astype(float)  # tied jumps
+            if not np.diff(window).any():
+                continue
+            assert classify_intensity(window) == self.outward_sweep(window), window
+
     @given(
         st.floats(0.1, 50.0),
         st.floats(-100.0, 100.0),
@@ -198,6 +227,96 @@ class TestDetectFlashes:
                 float(np.hypot(dets[0].pixel[0] - 8.0, dets[0].pixel[1] - 6.0)),
             )
         assert worst < 0.1
+
+
+def flood_fill_detections(frame, threshold, hue=None):
+    """Every 4-connected blob of a frame as a Detection, by flood fill.
+
+    Blobs come out in the order of their first raster pixel, each summed
+    over its pixels in raster order.
+    """
+    rows, cols = frame.shape
+    seen = np.zeros(frame.shape, dtype=bool)
+    out = []
+    for r0 in range(rows):
+        for c0 in range(cols):
+            if seen[r0, c0] or not frame[r0, c0] >= threshold:
+                continue
+            seen[r0, c0] = True
+            blob, queue = [], [(r0, c0)]
+            while queue:
+                r, c = queue.pop()
+                blob.append((r, c))
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= rr < rows and 0 <= cc < cols and not seen[rr, cc]:
+                        if frame[rr, cc] >= threshold:
+                            seen[rr, cc] = True
+                            queue.append((rr, cc))
+            blob.sort()
+            mass = sum(frame[p] for p in blob)
+            row = sum(frame[p] * p[0] for p in blob) / mass
+            col = sum(frame[p] * p[1] for p in blob) / mass
+            mean_hue = 0.0 if hue is None else sum(hue[p] for p in blob) / len(blob)
+            out.append(Detection((row, col), max(frame[p] for p in blob), mean_hue))
+    return out
+
+
+class TestDetectFlashesAgainstFloodFill:
+    @staticmethod
+    def assert_same(got, blobs):
+        """got from a radius-0 call, which keeps every blob and orders them
+        by intensity and then, stably, by pixel."""
+        want = sorted(sorted(blobs, key=lambda d: -d.intensity), key=lambda d: d.pixel)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.pixel == pytest.approx(w.pixel, rel=1e-12)
+            assert g.intensity == w.intensity
+            assert g.hue == pytest.approx(w.hue, rel=1e-12)
+
+    def test_seeded_random_frames(self):
+        rng = np.random.default_rng(99)
+        for trial in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 25, size=2))
+            frame = rng.random(shape) * 100.0
+            if trial % 2:
+                frame = np.round(frame / 25.0) * 25.0  # equal peaks, tied intensities
+            hue = rng.random(shape) * 360.0 if trial % 3 else None
+            threshold = float(rng.uniform(5.0, 95.0))
+            self.assert_same(
+                detect_flashes(frame, threshold, 0.0, hue=hue),
+                flood_fill_detections(frame, threshold, hue),
+            )
+
+    @pytest.mark.parametrize("pattern", ["comb", "serpentine", "spiral", "full"])
+    def test_long_winding_blobs(self, pattern):
+        n = 61
+        mask = np.zeros((n, n), dtype=bool)
+        if pattern == "comb":
+            mask[:, ::2] = True
+            mask[-1] = True
+        elif pattern == "serpentine":
+            mask[::2] = True
+            mask[1::4, -1] = True
+            mask[3::4, 0] = True
+        elif pattern == "spiral":
+            for k in range(0, n // 2, 2):
+                mask[k, k : n - k] = mask[k : n - k, n - 1 - k] = mask[n - 1 - k, k : n - k] = True
+                mask[k + 2 : n - k, k] = True
+        else:
+            mask[:] = True
+        frame = np.where(mask, 50.0, 0.0) + np.arange(n * n).reshape(n, n) * 1e-3
+        self.assert_same(
+            detect_flashes(frame, 10.0, 0.0), flood_fill_detections(frame, 10.0)
+        )
+
+    def test_frame_must_be_2d(self):
+        for bad in (np.ones(5), np.ones((2, 3, 4))):
+            with pytest.raises(ValueError, match="frame must be 2-D and nonempty"):
+                detect_flashes(bad, 0.5, 1.0)
+
+    def test_hue_grid_must_match_the_frame(self):
+        with pytest.raises(ValueError, match=r"hue grid shape \(8,\) differs"):
+            detect_flashes(np.ones((4, 8)), 0.5, 1.0, hue=np.zeros(8))
 
 
 class TestAssociate:
