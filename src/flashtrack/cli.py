@@ -50,12 +50,29 @@ def _load_book(path: str):
         return codebook_from_json(json.load(fh))
 
 
+def _emit_table(args, names: list[str], rows: list[dict], payload) -> None:
+    """payload as JSON; with --csv, the rows: the named columns, then one
+    lock-on column per table frame rate."""
+    if not args.csv:
+        _emit(json.dumps(payload, sort_keys=True), args.out)
+        return
+    buf = io.StringIO()
+    fps = [str(f) for f in codec.LOCKON_TABLE_FPS]
+    writer = csv.DictWriter(buf, names + fps, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows({**row, **row.get("lockon_s", {})} for row in rows)
+    _emit(buf.getvalue().rstrip("\n"), args.out)
+
+
 def _parse_bits_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+        bits = range(int(lo), int(hi) + 1)
+    else:
+        bits = range(int(text), int(text) + 1)
+    if not bits:
+        raise ValueError(f"--bits {text} is an empty range")
+    return bits
 
 
 def cmd_codebook_gen(args) -> int:
@@ -82,20 +99,7 @@ def cmd_codebook_report(args) -> int:
                 for fps in codec.LOCKON_TABLE_FPS
             }
         rows.append(entry)
-    if args.csv:
-        buf = io.StringIO()
-        fields = ["bits", "necklace_classes", "initial_size", "robust_size"] + [
-            str(fps) for fps in codec.LOCKON_TABLE_FPS
-        ]
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for entry in rows:
-            flat = {k: v for k, v in entry.items() if k != "lockon_s"}
-            flat.update(entry.get("lockon_s", {}))
-            writer.writerow(flat)
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-    else:
-        _emit(json.dumps(rows, sort_keys=True), args.out)
+    _emit_table(args, ["bits", "necklace_classes", "initial_size", "robust_size"], rows, rows)
     return 0
 
 
@@ -106,14 +110,11 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _decode_stream(lut, bits: str) -> dict:
+def _decode(lut, bits) -> tuple[list[int], int]:
+    """Push bits through one fresh decoder: every step's vote, and the lock."""
     decoder = codec.StreamDecoder(lut)
-    votes = [decoder.push(int(b)).vote for b in bits]
-    return {
-        "votes": votes,
-        "locked_identifier": decoder.identifier,
-        "bits": len(bits),
-    }
+    votes = [decoder.push(bit).vote for bit in bits]
+    return votes, decoder.identifier
 
 
 def cmd_decode(args) -> int:
@@ -121,26 +122,18 @@ def cmd_decode(args) -> int:
     if args.stream:
         if any(c not in "01" for c in args.stream):
             raise ValueError("stream must be a string of 0s and 1s")
-        _emit(json.dumps(_decode_stream(lut, args.stream)), args.out)
+        votes, identifier = _decode(lut, map(int, args.stream))
+        result = {"votes": votes, "locked_identifier": identifier, "bits": len(args.stream)}
+        _emit(json.dumps(result), args.out)
         return 0
-    traces = signal.read_trace_csv(args.trace)
+    bitizer = signal.HueBitizer if args.scheme == "hue" else signal.IntensityBitizer
     result = {}
-    for trace in traces:
-        if args.scheme == "hue":
-            bitizer = signal.HueBitizer()
-            values = [s.hue for s in trace.samples]
-        else:
-            bitizer = signal.IntensityBitizer(lut.n)
-            values = [s.intensity for s in trace.samples]
-        decoder = codec.StreamDecoder(lut)
-        votes = []
-        for value in values:
-            for bit in bitizer.push(value):
-                votes.append(decoder.push(bit).vote)
-        result[str(trace.track_id)] = {
-            "votes": votes,
-            "locked_identifier": decoder.identifier,
-        }
+    for trace in signal.read_trace_csv(args.trace):
+        push = bitizer(lut.n).push
+        # a scheme is named after the sample field it reads
+        bits = (bit for s in trace.samples for bit in push(getattr(s, args.scheme)))
+        votes, identifier = _decode(lut, bits)
+        result[str(trace.track_id)] = {"votes": votes, "locked_identifier": identifier}
     _emit(json.dumps(result, sort_keys=True), args.out)
     return 0
 
@@ -151,30 +144,16 @@ def cmd_sync_interval(args) -> int:
 
 
 def cmd_lockon(args) -> int:
+    if (args.bits is None) != (args.fps is None):
+        raise ValueError("--bits and --fps must be given together")
     if args.fps is not None:
-        if args.bits is None:
-            raise ValueError("--fps needs --bits")
         print(codec.lock_on_display(args.bits, args.fps))
         return 0
-    table = codec.render_lockon_table()
-    if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["bits", "size"] + [str(f) for f in codec.LOCKON_TABLE_FPS])
-        for n, row in table.items():
-            writer.writerow(
-                [n, row["size"]] + [row["lockon_s"][f] for f in codec.LOCKON_TABLE_FPS]
-            )
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-    else:
-        printable = {
-            str(n): {
-                "size": row["size"],
-                "lockon_s": {str(f): v for f, v in row["lockon_s"].items()},
-            }
-            for n, row in table.items()
-        }
-        _emit(json.dumps(printable, sort_keys=True), args.out)
+    table = {
+        str(n): {"size": row["size"], "lockon_s": {str(f): v for f, v in row["lockon_s"].items()}}
+        for n, row in codec.render_lockon_table().items()
+    }
+    _emit_table(args, ["bits", "size"], [dict(row, bits=n) for n, row in table.items()], table)
     return 0
 
 

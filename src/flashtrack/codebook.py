@@ -371,10 +371,11 @@ def codebook_to_json(cb: Codebook, lut: LookupTable) -> dict:
 def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
     """Inverse of codebook_to_json; a malformed book raises ValueError.
 
-    The mode, the range of n, the table header, the word lengths and
-    every run (inside the table, identifier in 1..len(words)) are
-    checked before the table is allocated, and then that each word is
-    claimed by its own identifier.
+    The mode, the range of n, the table header, the word lengths, that
+    each word is the smallest rotation of its class, and every run
+    (inside the table, identifier in 1..len(words)) are checked before
+    the table is allocated, and then that each word is claimed by its
+    own identifier.
     """
     if not isinstance(data, dict) or not isinstance(data.get("table"), dict):
         raise ValueError("a book must be a JSON object with a table object")
@@ -390,6 +391,12 @@ def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
     words = [BitWord.from_string(s) for s in data["words"]]
     if any(w.n != n for w in words):
         raise ValueError(f"every word must be {n} bits long")
+    # identifier_of looks a class up by its smallest rotation
+    values = np.array([w.value for w in words], dtype=np.int64)
+    off = np.flatnonzero(_rotations_array(values, n).min(axis=1) != values)
+    if len(off):
+        w = words[off[0]]
+        raise ValueError(f"word {w} is not its class's smallest rotation {canonical_rotation(w)}")
     runs = table["runs"]
     for run in runs:
         if not (isinstance(run, list) and len(run) == 3 and all(type(v) is int for v in run)):

@@ -16,7 +16,8 @@ claimed by a different word. Exhaustive sweeps over every word, phase,
 and single error for n <= 12 show those alias votes never persist for
 more than 2 consecutive steps, so a run of 3 is the smallest threshold
 that never locks onto the wrong identifier; a clean stream still locks
-within n+2 bits. Once locked the state is sticky until reset.
+within n+2 bits. The lock is the state's identifier: 0 until the rule
+fires, then the voted identifier, sticky until reset.
 
 Every sampled bit of every tracked beacon passes through push_bit, so
 the step is kept lean: the state is an immutable named tuple, a fresh
@@ -34,18 +35,15 @@ from .codebook import BitWord, Codebook, LookupTable
 
 LOCK_RUN = {"initial": 1, "robust": 3}
 
-STATUS_UNKNOWN = "unknown"
-STATUS_LOCKED = "locked"
-
 
 class DecodeState(NamedTuple):
     """Streaming decoder state; advance with push_bit, one bit per sample.
 
-    identifier is only meaningful when status is locked. vote is this
-    step's merged table vote (0 = unknown), kept visible for analysis.
+    identifier is the lock: 0 until the lock rule fires, then the locked
+    identifier for good. vote is this step's merged table vote (0 =
+    unknown), kept visible for analysis.
     """
 
-    status: str = STATUS_UNKNOWN
     identifier: int = 0
     bits_consumed: int = 0
     agreement_run: int = 0
@@ -54,7 +52,7 @@ class DecodeState(NamedTuple):
 
     @property
     def locked(self) -> bool:
-        return self.status == STATUS_LOCKED
+        return self.identifier != 0
 
 
 def encode(cb: Codebook, identifier: int) -> BitWord:
@@ -73,7 +71,7 @@ def decode_window(lut: LookupTable, window: BitWord) -> int:
 
 def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
     """Feed one bit; returns the successor state."""
-    status, identifier, consumed, run, last, window = state
+    identifier, consumed, run, last, window = state
     n, slots = lut.n, lut.slots
     window = ((window << 1) | (bit & 1)) & lut._window_mask
     consumed += 1
@@ -94,12 +92,10 @@ def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
     else:
         run = 1
 
-    if status == STATUS_LOCKED:
-        return DecodeState(status, identifier, consumed, run, vote, window)
     # a nonzero vote implies at least n bits consumed
-    if vote and run >= LOCK_RUN[lut.mode]:
-        return DecodeState(STATUS_LOCKED, vote, consumed, run, vote, window)
-    return DecodeState(STATUS_UNKNOWN, 0, consumed, run, vote, window)
+    if not identifier and vote and run >= LOCK_RUN[lut.mode]:
+        identifier = vote
+    return DecodeState(identifier, consumed, run, vote, window)
 
 
 class StreamDecoder:
@@ -122,17 +118,22 @@ class StreamDecoder:
         return self.state.identifier
 
 
+def _check_lock_on_inputs(n: int, fps: float) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"word length must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be finite and > 0, got {fps!r}")
+
+
 def lock_on_time(n: int, fps: float) -> float:
     """Seconds from first sample to a full clean code cycle: n / fps."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    _check_lock_on_inputs(n, fps)
     return n / fps
 
 
 def lock_on_display(n: int, fps: float) -> str:
     """Lock-on time truncated (not rounded) to 2 decimals for table output."""
+    _check_lock_on_inputs(n, fps)
     if isinstance(fps, int) or float(fps).is_integer():
         hundredths = (100 * n) // int(fps)
     else:

@@ -206,8 +206,11 @@ def detect_flashes(
     Pixels at or above threshold are grouped by 4-connectivity; each
     group yields an intensity-weighted centroid, its peak intensity,
     and the mean hue over the group. Groups with centroids closer than
-    nms_radius collapse onto the brightest of them.
+    nms_radius collapse onto the brightest of them; nms_radius must be
+    at least 0 (NaN raises ValueError).
     """
+    if not nms_radius >= 0:
+        raise ValueError(f"nms_radius must be >= 0, got {nms_radius!r}")
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.size == 0:
         raise ValueError(f"frame must be 2-D and nonempty, got shape {frame.shape}")
@@ -246,13 +249,23 @@ def detect_flashes(
         for r, c, p, h in zip(row_sum / mass, col_sum / mass, peaks, hues)
     ]
     detections.sort(key=lambda d: -d.intensity)
+    # kept blobs sit in square cells of side at least nms_radius, so a blob
+    # closer than that lies in one of the 3x3 cells around a candidate; the
+    # floor keeps cell numbers exact integers when the radius is tiny or 0
+    side = max(nms_radius, max(frame.shape) * 2.0**-40)
+    cells: dict[tuple[int, int], list[Detection]] = {}
     kept: list[Detection] = []
     for det in detections:
+        r, c = det.pixel
+        i, j = int(r // side), int(c // side)
         if all(
-            np.hypot(det.pixel[0] - k.pixel[0], det.pixel[1] - k.pixel[1]) >= nms_radius
-            for k in kept
+            np.hypot(r - k.pixel[0], c - k.pixel[1]) >= nms_radius
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for k in cells.get((i + di, j + dj), ())
         ):
             kept.append(det)
+            cells.setdefault((i, j), []).append(det)
     kept.sort(key=lambda d: d.pixel)
     return kept
 

@@ -14,8 +14,6 @@ from flashtrack import codec
 from flashtrack.codebook import BitWord, generate_robust_codebook
 from flashtrack.codec import (
     LOCK_RUN,
-    STATUS_LOCKED,
-    STATUS_UNKNOWN,
     StreamDecoder,
     assign_ids,
     decode_window,
@@ -30,6 +28,8 @@ from flashtrack.codec import DecodeState
 
 bit_strings = st.text(alphabet="01", min_size=1, max_size=12)
 
+UNKNOWN, LOCKED = "unknown", "locked"
+
 
 def drive(lut, bits):
     decoder = StreamDecoder(lut)
@@ -40,7 +40,7 @@ def drive(lut, bits):
 class ReferenceState:
     """The decoder state as a frozen dataclass, stepped by reference_push_bit."""
 
-    status: str = STATUS_UNKNOWN
+    status: str = UNKNOWN
     identifier: int = 0
     bits_consumed: int = 0
     agreement_run: int = 0
@@ -49,7 +49,7 @@ class ReferenceState:
 
     @property
     def locked(self) -> bool:
-        return self.status == STATUS_LOCKED
+        return self.status == LOCKED
 
 
 def reference_push_bit(state: ReferenceState, lut, bit: int) -> ReferenceState:
@@ -78,8 +78,8 @@ def reference_push_bit(state: ReferenceState, lut, bit: int) -> ReferenceState:
             state, bits_consumed=consumed, agreement_run=run, vote=vote, window=window
         )
     if vote and consumed >= n and run >= LOCK_RUN[lut.mode]:
-        return ReferenceState(STATUS_LOCKED, vote, consumed, run, vote, window)
-    return ReferenceState(STATUS_UNKNOWN, 0, consumed, run, vote, window)
+        return ReferenceState(LOCKED, vote, consumed, run, vote, window)
+    return ReferenceState(UNKNOWN, 0, consumed, run, vote, window)
 
 
 def assert_matches_reference(lut, bits) -> list:
@@ -87,7 +87,7 @@ def assert_matches_reference(lut, bits) -> list:
     state, ref, states = DecodeState(), ReferenceState(), []
     for b in bits:
         state, ref = push_bit(state, lut, b), reference_push_bit(ref, lut, b)
-        assert tuple(state) == dataclasses.astuple(ref), (lut.n, lut.mode, bits)
+        assert tuple(state) == dataclasses.astuple(ref)[1:], (lut.n, lut.mode, bits)
         assert state.locked == ref.locked
         states.append(state)
     return states
@@ -144,8 +144,8 @@ class TestReferenceStream:
     def test_lock_is_immediate_in_initial_mode(self, initial_books):
         _, lut = initial_books[4]
         states = drive(lut, "1101110111")
-        assert states[2].status == STATUS_UNKNOWN
-        assert states[3].status == STATUS_LOCKED
+        assert not states[2].locked
+        assert states[3].locked
         assert states[3].identifier == 4
 
 
@@ -261,12 +261,10 @@ class TestMatchesReference:
 class TestDecoderState:
     def test_defaults_and_locked(self):
         state = DecodeState()
-        assert tuple(state) == (STATUS_UNKNOWN, 0, 0, 0, 0, 0)
-        assert state._fields == (
-            "status", "identifier", "bits_consumed", "agreement_run", "vote", "window",
-        )
+        assert tuple(state) == (0, 0, 0, 0, 0)
+        assert state._fields == ("identifier", "bits_consumed", "agreement_run", "vote", "window")
         assert not state.locked
-        assert DecodeState(STATUS_LOCKED, 3).locked
+        assert DecodeState(3).locked
 
     def test_successive_pushes_are_distinct_snapshots(self, robust_books):
         _, lut = robust_books[4]
@@ -353,6 +351,18 @@ class TestLockOnTime:
         # 7/30 = 0.2333.. -> 0.23; rounding would also give 0.23, but
         # 17/90 = 0.18888.. -> 0.18 where rounding gives 0.19
         assert lock_on_display(17, 90) == "0.18"
+
+    @pytest.mark.parametrize("fn", [lock_on_time, lock_on_display])
+    @pytest.mark.parametrize(
+        "n, fps, message",
+        [
+            (18, math.nan, "fps"), (18, math.inf, "fps"), (18, 0, "fps"), (18, -30.0, "fps"),
+            (0, 60, "word length"), (-5, 60, "word length"), (18.0, 60, "word length"),
+        ],
+    )
+    def test_inputs_checked_once(self, fn, n, fps, message):
+        with pytest.raises(ValueError, match=message):
+            fn(n, fps)
 
     def test_table_shape(self):
         table = render_lockon_table(sizes={n: 0 for n in range(7, 22)})

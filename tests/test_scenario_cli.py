@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from flashtrack import cli, codebook, scenario
+from flashtrack import cli, codebook, scenario, signal
 from flashtrack import pose as pose_mod
 from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST, BitWord, Codebook
 from flashtrack.scenario import (
@@ -609,6 +609,112 @@ class TestCli:
         assert [r["bits"] for r in rows] == [4, 5, 6]
         assert rows[0]["robust_size"] == 1
 
+    # the lock-on grid over stubbed book sizes 3n - 17, as the CLI prints it
+    LOCKON_CSV = (
+        "bits,size,30,45,60,75,90,120,180,240\r\n"
+        "7,4,0.23,0.15,0.11,0.09,0.07,0.05,0.03,0.02\r\n"
+        "8,7,0.26,0.17,0.13,0.10,0.08,0.06,0.04,0.03\r\n"
+        "9,10,0.30,0.20,0.15,0.12,0.10,0.07,0.05,0.03\r\n"
+        "10,13,0.33,0.22,0.16,0.13,0.11,0.08,0.05,0.04\r\n"
+        "11,16,0.36,0.24,0.18,0.14,0.12,0.09,0.06,0.04\r\n"
+        "12,19,0.40,0.26,0.20,0.16,0.13,0.10,0.06,0.05\r\n"
+        "13,22,0.43,0.28,0.21,0.17,0.14,0.10,0.07,0.05\r\n"
+        "14,25,0.46,0.31,0.23,0.18,0.15,0.11,0.07,0.05\r\n"
+        "15,28,0.50,0.33,0.25,0.20,0.16,0.12,0.08,0.06\r\n"
+        "16,31,0.53,0.35,0.26,0.21,0.17,0.13,0.08,0.06\r\n"
+        "17,34,0.56,0.37,0.28,0.22,0.18,0.14,0.09,0.07\r\n"
+        "18,37,0.60,0.40,0.30,0.24,0.20,0.15,0.10,0.07\r\n"
+        "19,40,0.63,0.42,0.31,0.25,0.21,0.15,0.10,0.07\r\n"
+        "20,43,0.66,0.44,0.33,0.26,0.22,0.16,0.11,0.08\r\n"
+        "21,46,0.70,0.46,0.35,0.28,0.23,0.17,0.11,0.08\r\n"
+    )
+
+    def test_lockon_table_output_pinned(self, capsys, monkeypatch):
+        """JSON and --csv print the same grid, byte for byte as pinned."""
+        monkeypatch.setattr(codebook, "generate_robust_codebook", lambda n: ([None] * (3 * n - 17), None))
+        assert cli.main(["lockon", "--csv"]) == 0
+        assert capsys.readouterr().out == self.LOCKON_CSV
+        header, *rows = [line.split(",") for line in self.LOCKON_CSV.splitlines()]
+        want = {
+            bits: {"lockon_s": dict(zip(header[2:], times)), "size": int(size)}
+            for bits, size, *times in rows
+        }
+        assert cli.main(["lockon"]) == 0
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
+
+    def test_codebook_report_csv_pinned(self, capsys):
+        assert cli.main(["codebook", "report", "--bits", "2..6", "--csv"]) == 0
+        assert capsys.readouterr().out == (
+            "bits,necklace_classes,initial_size,robust_size,30,45,60,75,90,120,180,240\r\n"
+            "2,3,1,,,,,,,,,\r\n"
+            "3,4,2,,,,,,,,,\r\n"
+            "4,6,4,1,0.13,0.08,0.06,0.05,0.04,0.03,0.02,0.01\r\n"
+            "5,8,6,1,0.16,0.11,0.08,0.06,0.05,0.04,0.02,0.02\r\n"
+            "6,14,12,1,0.20,0.13,0.10,0.08,0.06,0.05,0.03,0.02\r\n"
+        )
+
+    @staticmethod
+    def trace_file(tmp_path, book):
+        """Two tracks whose intensity and hue carry different words of the
+        robust n = 8 book, each 3 cycles with one duplicated bit."""
+
+        def trace(track_id, lit, tint, phase, dup):
+            def bits(ident):
+                out = [book.word(ident).bits[(phase + i) % 8] for i in range(24)]
+                out.insert(dup, out[dup])
+                return out
+
+            tr = signal.SampleTrace(track_id)
+            for k, (i, h) in enumerate(zip(bits(lit), bits(tint))):
+                level = (20.0 if i else 5.0) + 0.25 * (k % 3)
+                tr.append(signal.FlashSample(k / 30, level, 10.0 if h else 250.0, (1.0, 2.0)))
+            return tr
+
+        path = tmp_path / "trace.csv"
+        signal.write_trace_csv(path, [trace(0, 2, 4, 3, 11), trace(3, 1, 3, 0, 9)])
+        return path
+
+    @pytest.mark.parametrize(
+        "scheme, want",
+        [
+            ("hue", {"0": (4, [0] * 7 + [4] * 18), "3": (3, [0] * 7 + [3] * 18)}),
+            ("intensity", {"0": (2, [0] * 7 + [2] * 8 + [0, 0] + [2] * 8), "3": (1, [0] * 7 + [1] * 18)}),
+        ],
+    )
+    def test_decode_trace_output_pinned(self, tmp_path, capsys, scheme, want):
+        book_path = tmp_path / "book.json"
+        assert cli.main(["codebook", "gen", "--bits", "8", "--mode", "robust", "--out", str(book_path)]) == 0
+        trace = self.trace_file(tmp_path, cli._load_book(str(book_path))[0])
+        assert cli.main(["decode", "--book", str(book_path), "--trace", str(trace), "--scheme", scheme]) == 0
+        payload = {k: {"locked_identifier": ident, "votes": votes} for k, (ident, votes) in want.items()}
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+        assert cli.main(["decode", "--book", str(book_path), "--stream", "0001011100010111000101"]) == 0
+        assert capsys.readouterr().out == (
+            '{"votes": [' + ", ".join(["0"] * 7 + ["1"] * 15) + '], "locked_identifier": 1, "bits": 22}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lockon", "--bits", "18", "--fps", "0"], "fps must be finite and > 0, got 0.0"),
+            (["lockon", "--bits", "18", "--fps", "inf"], "fps must be finite and > 0, got inf"),
+            (["lockon", "--bits", "18", "--fps", "nan"], "fps must be finite and > 0, got nan"),
+            (["lockon", "--bits", "18", "--fps", "-30"], "fps must be finite and > 0, got -30.0"),
+            (["lockon", "--bits", "0", "--fps", "60"], "word length must be an integer >= 1, got 0"),
+            (["lockon", "--bits", "-5", "--fps", "60"], "word length must be an integer >= 1, got -5"),
+            (["lockon", "--bits", "18"], "--bits and --fps must be given together"),
+            (["lockon", "--fps", "60"], "--bits and --fps must be given together"),
+            (["codebook", "report", "--bits", "5..3"], "--bits 5..3 is an empty range"),
+        ],
+        ids=["fps-0", "fps-inf", "fps-nan", "fps-negative", "bits-0", "bits-negative",
+             "bits-alone", "fps-alone", "empty-range"],
+    )
+    def test_bad_lockon_and_report_inputs_exit_2(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(codebook, "generate_robust_codebook", must_not_run)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"flashtrack: {message}\n"
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["codebook", "gen", "--bits", "4"])
@@ -668,6 +774,12 @@ class TestCli:
     )
     def test_book_header_and_run_faults_refused(self, tmp_path, capsys, fault, message):
         self.assert_book_refused(self.bad_book(tmp_path, fault), capsys, message)
+
+    def test_book_word_that_is_not_its_smallest_rotation_refused(self, tmp_path, capsys):
+        # the table claims 1110 for identifier 1, but identifier_of looks words
+        # up by their smallest rotation, 0111, so the book would decode nothing
+        path = self.bad_book(tmp_path, lambda d: d.update(words=["1110"]))
+        self.assert_book_refused(path, capsys, "word 1110 is not its class's smallest rotation 0111")
 
     def test_book_file_that_is_not_an_object_refused(self, tmp_path, capsys):
         path = tmp_path / "book.json"

@@ -1,10 +1,13 @@
 """Photometry to bits: hue/intensity classification, blobs, tracking."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashtrack import signal
 from flashtrack.signal import (
     Detection,
     FlashSample,
@@ -317,6 +320,64 @@ class TestDetectFlashesAgainstFloodFill:
     def test_hue_grid_must_match_the_frame(self):
         with pytest.raises(ValueError, match=r"hue grid shape \(8,\) differs"):
             detect_flashes(np.ones((4, 8)), 0.5, 1.0, hue=np.zeros(8))
+
+
+def reference_suppress(detections, nms_radius):
+    """The suppression pass as a plain loop: every candidate against every kept blob."""
+    detections = sorted(detections, key=lambda d: -d.intensity)
+    kept = []
+    for det in detections:
+        if all(
+            np.hypot(det.pixel[0] - k.pixel[0], det.pixel[1] - k.pixel[1]) >= nms_radius
+            for k in kept
+        ):
+            kept.append(det)
+    kept.sort(key=lambda d: d.pixel)
+    return kept
+
+
+class TestSuppression:
+    @staticmethod
+    def detect_with_reference(monkeypatch, frame, threshold, radius, hue=None):
+        """detect_flashes, and the reference pass over the blobs it made, in
+        the order it made them."""
+        made = []
+        monkeypatch.setattr(signal, "Detection", lambda *a: made.append(Detection(*a)) or made[-1])
+        got = detect_flashes(frame, threshold, radius, hue=hue)
+        return got, reference_suppress(made, radius)
+
+    def test_seeded_frames_match_the_reference_loop(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        for trial in range(400):
+            shape = tuple(int(v) for v in rng.integers(1, 46, size=2))
+            frame = rng.random(shape) * 100.0
+            if trial % 2:
+                frame = np.round(frame / 25.0) * 25.0  # tied intensities
+            hue = rng.random(shape) * 360.0 if trial % 3 else None
+            radius = float(rng.choice([0.0, 1.0, 1.5, rng.uniform(0.0, 7.5)]))
+            threshold = float(rng.uniform(30.0, 95.0))
+            got, want = self.detect_with_reference(monkeypatch, frame, threshold, radius, hue)
+            assert repr(got) == repr(want), (trial, radius)
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e300, float("inf")])
+    def test_extreme_radii_match_the_reference_loop(self, monkeypatch, radius):
+        frame = np.random.default_rng(11).random((30, 40)) * 100.0
+        got, want = self.detect_with_reference(monkeypatch, frame, 50.0, radius)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("radius", [0.0, 3.0])
+    def test_noise_frame_within_two_seconds(self, radius):
+        """A 480x640 uniform-noise frame holds about 20,000 blobs."""
+        frame = np.random.default_rng(12).random((480, 640)) * 100.0
+        t0 = time.perf_counter()
+        kept = detect_flashes(frame, 50.0, radius)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(kept) > (10_000 if radius == 0 else 1_000)
+
+    @pytest.mark.parametrize("radius", [float("nan"), -1.0])
+    def test_radius_must_be_a_number_at_least_zero(self, radius):
+        with pytest.raises(ValueError, match="nms_radius"):
+            detect_flashes(np.ones((4, 4)), 0.5, radius)
 
 
 class TestAssociate:
