@@ -119,19 +119,22 @@ def _decode(lut, bits) -> tuple[list[int], int]:
 
 def cmd_decode(args) -> int:
     _, lut = _load_book(args.book)
-    if args.stream:
+    if args.stream is not None:
+        if args.scheme is not None:
+            raise ValueError("--scheme applies to --trace only, not to --stream")
         if any(c not in "01" for c in args.stream):
             raise ValueError("stream must be a string of 0s and 1s")
         votes, identifier = _decode(lut, map(int, args.stream))
         result = {"votes": votes, "locked_identifier": identifier, "bits": len(args.stream)}
         _emit(json.dumps(result), args.out)
         return 0
-    bitizer = signal.HueBitizer if args.scheme == "hue" else signal.IntensityBitizer
+    scheme = args.scheme or "hue"
+    bitizer = signal.HueBitizer if scheme == "hue" else signal.IntensityBitizer
     result = {}
     for trace in signal.read_trace_csv(args.trace):
         push = bitizer(lut.n).push
         # a scheme is named after the sample field it reads
-        bits = (bit for s in trace.samples for bit in push(getattr(s, args.scheme)))
+        bits = (bit for s in trace.samples for bit in push(getattr(s, scheme)))
         votes, identifier = _decode(lut, bits)
         result[str(trace.track_id)] = {"votes": votes, "locked_identifier": identifier}
     _emit(json.dumps(result, sort_keys=True), args.out)
@@ -147,7 +150,9 @@ def cmd_lockon(args) -> int:
     if (args.bits is None) != (args.fps is None):
         raise ValueError("--bits and --fps must be given together")
     if args.fps is not None:
-        print(codec.lock_on_display(args.bits, args.fps))
+        if args.csv:
+            raise ValueError("--csv applies to the table only, not to one --bits/--fps value")
+        _emit(codec.lock_on_display(args.bits, args.fps), args.out)
         return 0
     table = {
         str(n): {"size": row["size"], "lockon_s": {str(f): v for f, v in row["lockon_s"].items()}}
@@ -196,7 +201,9 @@ def _build_parser() -> _Parser:
     src = p_dec.add_mutually_exclusive_group(required=True)
     src.add_argument("--stream", help="bit string, oldest bit first")
     src.add_argument("--trace", help="trace CSV as written by the signal module")
-    p_dec.add_argument("--scheme", choices=("hue", "intensity"), default="hue")
+    p_dec.add_argument(
+        "--scheme", choices=("hue", "intensity"), help="sample field of a --trace (default hue)"
+    )
     p_dec.add_argument("--out")
     p_dec.set_defaults(func=cmd_decode)
 

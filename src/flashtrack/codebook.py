@@ -12,9 +12,12 @@ single-error corruption (bit flip, adjacent duplication, deletion) of
 every rotation, so a sampled window that suffered one such error still
 resolves to the right identifier. Classes whose corruption sets collide
 with an earlier class are dropped by a greedy pass.
-Neither flavour is built one class at a time: the initial table is
-closed-form and the robust pass checks classes in blocks (see
-`_generate` for why both give the greedy result exactly).
+The initial table is closed-form: a value's class rank. The robust pass
+builds claim sets for kept classes only: accepting a class marks every
+class that claims one of its slots, found in closed form by undoing each
+single error, and the pass jumps to the next unmarked class. Claim
+overlap is symmetric, so the marks are exactly the classes the greedy
+pass would find blocked (see `_generate`).
 
 Words are handled as plain integers (most significant bit first) and
 variant sets of differing lengths share one index space by integer
@@ -24,7 +27,7 @@ an n-bit word is n+1 bits long.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,23 +127,34 @@ def noisify(w: BitWord) -> set[int]:
 
 
 class Codebook:
-    """Ordered canonical code-words; identifiers are their 1-based ranks."""
+    """Ordered canonical code-words; identifiers are their 1-based ranks.
 
-    def __init__(self, n: int, mode: str, words: list[BitWord]):
+    The words are held as their integer values; `word` and `words`
+    build BitWords on demand.
+    """
+
+    def __init__(self, n: int, mode: str, values: list[int]):
         if mode not in TRIVIAL_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.n = n
         self.mode = mode
-        self.words = list(words)
-        self._id_by_value = {w.value: i + 1 for i, w in enumerate(self.words)}
+        self.values = list(values)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.values)
+
+    @property
+    def words(self) -> list[BitWord]:
+        return [BitWord(v, self.n) for v in self.values]
 
     def word(self, identifier: int) -> BitWord:
-        if not 1 <= identifier <= len(self.words):
-            raise ValueError(f"identifier {identifier} out of range 1..{len(self.words)}")
-        return self.words[identifier - 1]
+        if not 1 <= identifier <= len(self.values):
+            raise ValueError(f"identifier {identifier} out of range 1..{len(self.values)}")
+        return BitWord(self.values[identifier - 1], self.n)
+
+    @functools.cached_property
+    def _id_by_value(self) -> dict[int, int]:
+        return {v: i for i, v in enumerate(self.values, 1)}
 
     def identifier_of(self, w: BitWord) -> int | None:
         return self._id_by_value.get(canonical_rotation(w).value)
@@ -180,12 +194,11 @@ class LookupTable:
 
 def _rotations_array(values: np.ndarray, n: int) -> np.ndarray:
     """All n rotations of each value, shape (len(values), n)."""
-    mask = (1 << n) - 1
-    out = np.empty((len(values), n), dtype=np.int64)
-    out[:, 0] = values
-    for i in range(1, n):
-        prev = out[:, i - 1]
-        out[:, i] = ((prev << 1) & mask) | (prev >> (n - 1))
+    k = np.arange(n)
+    v = values[:, None]
+    out = v << k
+    out &= (1 << n) - 1
+    out |= v >> (n - k)
     return out
 
 
@@ -213,18 +226,24 @@ def _variant_block(rots: np.ndarray, n: int) -> np.ndarray:
 
 def _canonical_reps(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical representative (min rotation) of every class, ascending,
-    and the min rotation of every n-bit value, indexed by value.
+    and the 1-based class rank of every n-bit value, indexed by value.
 
-    Running minimum over rotations keeps peak memory at two arrays of
-    2^n rather than the full (2^n, n) rotation matrix.
+    A running minimum over rotations, updated in place in 32-bit words,
+    keeps peak memory at four arrays of 2^n rather than the full (2^n, n)
+    rotation matrix. The rank is one cumulative count of the canonical
+    values, read at each value's min rotation.
     """
     mask = (1 << n) - 1
-    rot = np.arange(1 << n, dtype=np.int64)
-    rot_min = rot.copy()
+    values = np.arange(1 << n, dtype=np.uint32)
+    rot, rot_min, high = values.copy(), values.copy(), np.empty_like(values)
     for _ in range(n - 1):
-        rot = ((rot << 1) & mask) | (rot >> (n - 1))
+        np.right_shift(rot, n - 1, out=high)
+        np.left_shift(rot, 1, out=rot)
+        rot &= mask
+        rot |= high
         np.minimum(rot_min, rot, out=rot_min)
-    return np.flatnonzero(np.arange(1 << n, dtype=np.int64) == rot_min), rot_min
+    is_rep = rot_min == values
+    return np.flatnonzero(is_rep), np.cumsum(is_rep, dtype=np.uint32)[rot_min]
 
 
 def _robust_claims(reps: np.ndarray, n: int) -> np.ndarray:
@@ -233,8 +252,28 @@ def _robust_claims(reps: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([rots, _variant_block(rots, n)], axis=1)
 
 
-# Claim slots checked per block of robust classes; bounds memory at any n.
-CLAIM_BLOCK_ENTRIES = 1 << 16
+def _claimants(slots: np.ndarray, n: int) -> np.ndarray:
+    """n-bit words whose classes claim any of the slots, in closed form.
+
+    A slot x is claimed by the class of a word w when x is a rotation of
+    w or a flip, duplication or deletion of one. Undoing each error
+    gives every such w: x itself and its n flips when x < 2^n; x with
+    one bit of an equal adjacent pair deleted (any x); x with a 0 or a 1
+    inserted at each position when x < 2^(n-1). The slots must ascend,
+    so the two bounds cut prefixes. Some words are rotations rather
+    than canonical values, and repeats are fine: the caller maps them
+    to classes through the rank array.
+    """
+    j = np.arange(n)
+    bit = np.int64(1) << j
+    x = slots[:, None]
+    low, mid, high = x & (bit - 1), x >> j, x >> (j + 1)
+    undup = ((high << j) | low)[(mid ^ high) & 1 == 0]
+    w = x[: np.searchsorted(slots, 1 << n)]
+    undel = ((mid << (j + 1)) | low)[: np.searchsorted(slots, 1 << (n - 1))]
+    return np.concatenate(
+        [w.ravel(), (w ^ bit).ravel(), undup, undel.ravel(), (undel | bit).ravel()]
+    )
 
 
 def _generate(n: int, mode: str) -> tuple[Codebook, LookupTable]:
@@ -250,37 +289,40 @@ def _generate(n: int, mode: str) -> tuple[Codebook, LookupTable]:
     renumbered in ascending canonical order.
 
     Clean rotations of distinct classes never meet, so in initial mode
-    every class is accepted: a value's identifier is the rank of its
-    min rotation. In robust mode one gather per block of classes drops
-    the rows already blocked by earlier blocks; taken slots stay taken,
-    so the greedy pass would drop them too. The rest are rechecked and
-    accepted in order, which sees earlier rows of the same block.
+    every class is accepted: a value's identifier is its class rank.
+    In robust mode a class finds a slot taken exactly when its claim
+    set meets that of an accepted class, and claim overlap is
+    symmetric. So accepting a class marks as blocked every class that
+    claims one of its slots (`_claimants`), and the pass jumps straight
+    to the next unmarked class: only kept classes build claim sets.
     """
     table = np.zeros(1 << (n + 1), dtype=np.uint32)
-    reps, rot_min = _canonical_reps(n)
+    reps, rank = _canonical_reps(n)
 
     if mode == "initial":
-        table[: 1 << n] = np.searchsorted(reps, rot_min) + 1
+        table[: 1 << n] = rank
         accepted = reps
     else:
+        # unmarked[c] holds while class rank c overlaps no accepted class;
+        # the entry past the last rank stays set and ends the pass
+        unmarked = np.ones(len(reps) + 2, dtype=bool)
         taken: list[int] = []
-        rows = max(1, CLAIM_BLOCK_ENTRIES // (n + 3 * n * n))
-        for lo in range(0, len(reps), rows):
-            block = reps[lo : lo + rows]
-            claims = _robust_claims(block, n)
-            for i in np.flatnonzero(~table[claims].any(axis=1)).tolist():
-                if not table[claims[i]].any():
-                    taken.append(int(block[i]))
-                    table[claims[i]] = len(taken)
+        c = 1
+        while (c := c + int(np.argmax(unmarked[c:]))) <= len(reps):
+            # ascending, as _claimants needs, and without repeats, which
+            # would only repeat its work; np.unique is slower on so few
+            claims = np.sort(_robust_claims(reps[c - 1 : c], n), axis=None)
+            slots = claims[np.diff(claims, prepend=-1) != 0]
+            taken.append(int(reps[c - 1]))
+            table[slots] = len(taken)
+            unmarked[rank[_claimants(slots, n)]] = False
         accepted = np.array(taken, dtype=np.int64)
 
     keep = (accepted != 0) & (accepted != (1 << n) - 1)
     remap = np.zeros(len(accepted) + 1, dtype=np.uint32)
     remap[1:][keep] = np.arange(1, np.count_nonzero(keep) + 1)
     table = remap[table]
-
-    words = [BitWord(rep, n) for rep in accepted[keep].tolist()]
-    return Codebook(n, mode, words), LookupTable(n, mode, table)
+    return Codebook(n, mode, accepted[keep].tolist()), LookupTable(n, mode, table)
 
 
 def generate_initial_codebook(n: int) -> tuple[Codebook, LookupTable]:
@@ -412,4 +454,4 @@ def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
     for ident, w in enumerate(words, 1):
         if entries[w.value] != ident:
             raise ValueError(f"word {w} is not claimed by its identifier {ident}")
-    return Codebook(n, mode, words), LookupTable(n, mode, entries)
+    return Codebook(n, mode, values.tolist()), LookupTable(n, mode, entries)

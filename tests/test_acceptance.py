@@ -84,9 +84,11 @@ TRADEOFF_TABLE = {
 
 MAX_SIZE_N4_TO_N8 = {4: 1, 5: 2, 6: 2, 7: 2, 8: 4}
 
-# robust books n=17..21, too slow for the one-class-at-a-time reference in
+# robust books n=17..22, too slow for the one-class-at-a-time reference in
 # test_codebook: sha256 of lut.entries.tobytes() (little-endian uint32) and
-# of the words joined by "," as bit strings, computed with that pass
+# of the words joined by "," as bit strings, computed with that pass for
+# n <= 21 and, for n = 22, with the block-gather builder that preceded the
+# neighbour-marking pass
 LARGE_BOOK_DIGESTS = {
     17: (
         "d2454f93654bba4e7d8b07ffc4307ba5631157cf64c9ab38e27af273fc3458eb",
@@ -107,6 +109,10 @@ LARGE_BOOK_DIGESTS = {
     21: (
         "a743016fe646a94c36e1ca368f45c70a30d13a91a3ddbfca21b499779afffeeb",
         "53ce353319f2158e95f2b385b046ceda80c6f4ae24a99f70ca036c5327ea9335",
+    ),
+    22: (
+        "901ebb7b306c0c4772fbed2231d33875c7546012c656efe9a914dc1c1ad51364",
+        "8c44a39182fff182b824e3b04d261e9b91f1e4c790f44d3289cc111de0211855",
     ),
 }
 
@@ -326,7 +332,7 @@ def test_criterion_06_robust_sizes_against_reference(criterion, tradeoff_books):
 
 @pytest.mark.parametrize("n", sorted(LARGE_BOOK_DIGESTS))
 def test_large_robust_books_match_pinned_digests(n, tradeoff_books):
-    book, lut = tradeoff_books[n]
+    book, lut = tradeoff_books[n] if n in tradeoff_books else generate_robust_codebook(n)
     entries = hashlib.sha256(lut.entries.tobytes()).hexdigest()
     words = hashlib.sha256(",".join(str(w) for w in book.words).encode()).hexdigest()
     assert (entries, words) == LARGE_BOOK_DIGESTS[n]

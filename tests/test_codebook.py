@@ -1,7 +1,5 @@
 """Code-book construction: necklace counts, frozen reference tables, claims."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,8 +64,9 @@ def reference_generate(n: int, mode: str) -> tuple[list[int], np.ndarray]:
 
     Visits the classes in ascending canonical order, checks each claim
     set against the table alone and writes it on acceptance, then strikes
-    the two trivial classes and renumbers. The block builder in
-    flashtrack.codebook must reproduce it exactly.
+    the two trivial classes and renumbers. The neighbour-marking pass in
+    flashtrack.codebook, which builds claim sets for kept classes only,
+    must reproduce it exactly.
     """
     mask = (1 << n) - 1
     reps = [
@@ -108,16 +107,20 @@ class TestAgainstReference:
         assert_matches_reference(n, "initial", *reference_generate(n, "initial"))
 
     @pytest.mark.parametrize("n", range(4, 17))
-    def test_robust_equals_reference(self, n, monkeypatch):
-        ref = reference_generate(n, "robust")
-        assert_matches_reference(n, "robust", *ref)
-        if n <= 12:
-            # one class per block: every acceptance goes through the block gather
-            monkeypatch.setattr(codebook, "CLAIM_BLOCK_ENTRIES", 1)
-            assert_matches_reference(n, "robust", *ref)
-            # one block for all classes: every acceptance goes through the recheck
-            monkeypatch.setattr(codebook, "CLAIM_BLOCK_ENTRIES", sys.maxsize)
-            assert_matches_reference(n, "robust", *ref)
+    def test_robust_equals_reference(self, n):
+        assert_matches_reference(n, "robust", *reference_generate(n, "robust"))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_claimants_are_exactly_the_overlapping_classes(self, n):
+        """The closed form blocks class d from c's slots exactly when the
+        claim sets of c and d meet, for every class c."""
+        reps, rank = codebook._canonical_reps(n)
+        claims = [set(row.tolist()) for row in codebook._robust_claims(reps, n)]
+        for c, mine in enumerate(claims, 1):
+            slots = np.array(sorted(mine), dtype=np.int64)
+            blocked = set(rank[codebook._claimants(slots, n)].tolist())
+            overlapping = {d for d, other in enumerate(claims, 1) if not mine.isdisjoint(other)}
+            assert blocked == overlapping, f"class {c} ({reps[c - 1]:0{n}b})"
 
 
 class TestBitWord:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from flashtrack import cli, codebook, scenario, signal
 from flashtrack import pose as pose_mod
-from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST, BitWord, Codebook
+from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST, Codebook
 from flashtrack.scenario import (
     MAX_FRAMES,
     ConfigError,
@@ -460,8 +460,7 @@ class TestScenarioConfig:
         if accepted:
             # an 8-word stand-in: the real n = 24 books take seconds to build, and
             # the smallest hold one word, too few for the cube's 8 flashers
-            words = [BitWord(1, bits)] * 8
-            stand_in = lambda n, m: (Codebook(n, m, words), None)  # noqa: E731
+            stand_in = lambda n, m: (Codebook(n, m, [1] * 8), None)  # noqa: E731
             monkeypatch.setattr(scenario, "generate_codebook", stand_in)
             config = ScenarioConfig.from_dict(raw)
             assert (config.book.n, config.book.mode) == (bits, mode)
@@ -569,6 +568,12 @@ class TestCli:
     def test_lockon_single_value(self, capsys):
         assert cli.main(["lockon", "--bits", "18", "--fps", "60"]) == 0
         assert capsys.readouterr().out.strip() == "0.30"
+
+    def test_lockon_single_value_honours_out(self, tmp_path, capsys):
+        out = tmp_path / "lockon.txt"
+        assert cli.main(["lockon", "--bits", "18", "--fps", "60", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "0.30\n"
 
     def test_sync_interval_prints_10(self, capsys):
         assert cli.main(["sync-interval", "--delta-max", "0.001", "--rho-ppm", "50"]) == 0
@@ -688,6 +693,9 @@ class TestCli:
         assert cli.main(["decode", "--book", str(book_path), "--trace", str(trace), "--scheme", scheme]) == 0
         payload = {k: {"locked_identifier": ident, "votes": votes} for k, (ident, votes) in want.items()}
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+        if scheme == "hue":  # the default scheme of a trace
+            assert cli.main(["decode", "--book", str(book_path), "--trace", str(trace)]) == 0
+            assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
         assert cli.main(["decode", "--book", str(book_path), "--stream", "0001011100010111000101"]) == 0
         assert capsys.readouterr().out == (
             '{"votes": [' + ", ".join(["0"] * 7 + ["1"] * 15) + '], "locked_identifier": 1, "bits": 22}\n'
@@ -705,15 +713,30 @@ class TestCli:
             (["lockon", "--bits", "18"], "--bits and --fps must be given together"),
             (["lockon", "--fps", "60"], "--bits and --fps must be given together"),
             (["codebook", "report", "--bits", "5..3"], "--bits 5..3 is an empty range"),
+            (["lockon", "--bits", "18", "--fps", "60", "--csv"],
+             "--csv applies to the table only, not to one --bits/--fps value"),
         ],
         ids=["fps-0", "fps-inf", "fps-nan", "fps-negative", "bits-0", "bits-negative",
-             "bits-alone", "fps-alone", "empty-range"],
+             "bits-alone", "fps-alone", "empty-range", "single-value-csv"],
     )
     def test_bad_lockon_and_report_inputs_exit_2(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(codebook, "generate_robust_codebook", must_not_run)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"flashtrack: {message}\n"
+
+    @pytest.mark.parametrize("scheme", ["hue", "intensity"])
+    def test_decode_stream_refuses_scheme(self, tmp_path, capsys, scheme):
+        book_path = tmp_path / "book.json"
+        assert cli.main(["codebook", "gen", "--bits", "4", "--mode", "initial", "--out", str(book_path)]) == 0
+        argv = ["decode", "--book", str(book_path), "--stream", "0111"]
+        assert cli.main([*argv, "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "flashtrack: --scheme applies to --trace only, not to --stream\n"
+        # an empty stream is a stream, not a missing trace
+        assert cli.main(["decode", "--book", str(book_path), "--stream", ""]) == 0
+        assert capsys.readouterr().out == '{"votes": [], "locked_identifier": 0, "bits": 0}\n'
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
