@@ -54,6 +54,7 @@ from .pose import (
     project,
     resolve_scale,
     solve_pnp,
+    solve_pnp_frames,
 )
 from .scenario import ConfigError, ScenarioConfig, ScenarioReport, run
 from .signal import (
@@ -126,6 +127,7 @@ __all__ = [
     "run",
     "sample_stream",
     "solve_pnp",
+    "solve_pnp_frames",
     "sync_interval",
     "write_trace_csv",
 ]

@@ -410,17 +410,33 @@ def codebook_to_json(cb: Codebook, lut: LookupTable) -> dict:
     }
 
 
+#: each key codebook_from_json reads besides the table object, with the type
+#: its value must have; n's type is checked with its range
+BOOK_KEYS = (
+    ("n", None), ("mode", str), ("words", list),
+    ("table.encoding", str), ("table.size", int), ("table.runs", list),
+)
+
+
 def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
     """Inverse of codebook_to_json; a malformed book raises ValueError.
 
-    The mode, the range of n, the table header, the word lengths, that
-    each word is the smallest rotation of its class, and every run
-    (inside the table, identifier in 1..len(words)) are checked before
-    the table is allocated, and then that each word is claimed by its
-    own identifier.
+    Every key of BOOK_KEYS and its type, the mode, the range of n, the
+    table header, the word lengths, that each word is the smallest
+    rotation of its class, and every run (inside the table, identifier in
+    1..len(words)) are checked before the table is allocated, and then
+    that each word is claimed by its own identifier.
     """
     if not isinstance(data, dict) or not isinstance(data.get("table"), dict):
         raise ValueError("a book must be a JSON object with a table object")
+    for path, kind in BOOK_KEYS:
+        holder, _, key = path.rpartition(".")
+        fields = data[holder] if holder else data
+        if key not in fields:
+            raise ValueError(f"book key {path} is missing")
+        if kind and (not isinstance(fields[key], kind) or isinstance(fields[key], bool)):
+            raise ValueError(
+                f"book key {path} must be {kind.__name__}, got {type(fields[key]).__name__}")
     n, mode, table = data["n"], data["mode"], data["table"]
     if mode not in TRIVIAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -18,15 +18,31 @@ Coplanar point sets make the problem ambiguous and are rejected up front.
 Refinement is Levenberg-Marquardt over a 6-vector increment, three
 rotation components applied through the exponential map on the left and
 three translation components, which sidesteps gimbal issues without
-quaternion bookkeeping. One routine refines a stack of starting poses:
-the DLT start is a stack of one, the fan a stack of its seeds that keep
-every point in front. Each seed has its own damping, retry count and
-iteration cap; the linear solves, SVDs and exponentials run batched
-over the seeds still active. A seed stops when its step falls below
-round-off of its parameters (STEP_RTOL), when the Gauss-Newton model
-predicts a negligible relative decrease of its cost (COST_RTOL), or
-after MAX_RETRIES rejected steps in a row. Trial poses stay raw (R, t)
-arrays; only the returned pose is built, and checked, as a Pose.
+quaternion bookkeeping. One routine refines a stack of starting poses,
+each against its own points or against points the stack shares: the fan
+is a stack of its seeds that keep every point in front, and a run's
+frames of one point count are a stack of one DLT start per frame. Each
+seed has its own damping, retry count and iteration cap; the linear
+solves, SVDs and exponentials run batched over the seeds still active. A
+seed stops when its step falls below round-off of its parameters
+(STEP_RTOL), when the Gauss-Newton model predicts a negligible relative
+decrease of its cost (COST_RTOL), or after MAX_RETRIES rejected steps in
+a row. Trial poses stay raw (R, t) arrays; only the returned pose is
+built, and checked, as a Pose.
+
+A run's poses come from solve_pnp_frames. Its frames of six or more
+points ignore their start, so they do not depend on each other: they are
+grouped by point count and solved in stacks of at most FRAME_CHUNK
+frames, through one batched DLT and one refinement. Frames of four or
+five points follow in order, each handed the previous frame's result as
+its start. The batch is exact, not an approximation: every batched step
+acts on each seed's own matrices with the LAPACK and BLAS call that seed
+would get alone, and reductions run along each seed's own axis, so a
+frame's pose is bitwise the one solve_pnp gives it, whatever shares its
+stack. A singular damped system makes numpy's batched solve raise for the
+whole stack; the stack is then solved seed by seed and only the singular
+seed takes the least-norm (pinv) step, so that one frame's pose never
+depends on which other frames share its batch.
 
 Pixels are (row, col) everywhere: col = fx * x / z + cx and
 row = fy * y / z + cy.
@@ -50,6 +66,9 @@ MAX_RETRIES = 8
 WARM_RMS_PX = 1.0
 
 ORTHONORMALITY_TOL = 1e-10
+# most frames of one point count solve_pnp_frames refines as one stack; it
+# bounds the stack's arrays and leaves every result as it is
+FRAME_CHUNK = 256
 
 
 class DegenerateConfigurationError(ValueError):
@@ -149,17 +168,22 @@ def is_coplanar(points) -> bool:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 4:
         raise ValueError("coplanarity needs at least 4 points")
-    centered = pts - pts.mean(axis=0)
+    return bool(_coplanar(pts))
+
+
+def _coplanar(points: np.ndarray) -> np.ndarray:
+    """is_coplanar of each point set of a stack (..., m, 3)."""
+    centered = points - points.mean(axis=-2, keepdims=True)
     sv = np.linalg.svd(centered, compute_uv=False)
-    return bool(sv[-1] < COPLANARITY_RTOL * sv[0])
+    return sv[..., -1] < COPLANARITY_RTOL * sv[..., 0]
 
 
 def _residuals(K, cam: np.ndarray, pixels) -> np.ndarray:
-    """Stacked (row, col) errors (..., 2m) of camera-frame points (..., m, 3)."""
+    """Stacked (row, col) errors (..., 2m) of camera points (..., m, 3) at pixels (..., m, 2)."""
     z = cam[..., 2]
     res = np.empty(cam.shape[:-1] + (2,))
-    res[..., 0] = K.fy * cam[..., 1] / z + K.cy - pixels[:, 0]
-    res[..., 1] = K.fx * cam[..., 0] / z + K.cx - pixels[:, 1]
+    res[..., 0] = K.fy * cam[..., 1] / z + K.cy - pixels[..., 0]
+    res[..., 1] = K.fx * cam[..., 0] / z + K.cx - pixels[..., 1]
     return res.reshape(cam.shape[:-2] + (2 * cam.shape[-2],))
 
 
@@ -200,16 +224,39 @@ def _normal_equations(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.
     return jt @ jac, (jt @ res[..., None])[..., 0]
 
 
+def _damped_steps(damped: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """LM steps (S, 6) solving each damped system of a stack (S, 6, 6), (S, 6).
+
+    A singular system makes the batched solve raise; the stack is then
+    solved seed by seed, and only the singular seed takes the least-norm
+    step, so no seed's step depends on the other seeds of its stack.
+    """
+    rhs = -grad[..., None]
+    try:
+        return np.linalg.solve(damped, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(damped) > 1:
+            return np.concatenate(
+                [_damped_steps(damped[i : i + 1], grad[i : i + 1]) for i in range(len(damped))])
+        return (np.linalg.pinv(damped) @ rhs)[..., 0]
+
+
 def _refine_stack(K, rot, trans, points, pixels):
     """Levenberg-Marquardt on each pose of a stack (S, 3, 3), (S, 3).
 
-    Returns the refined rotations, translations and final costs. A
-    trial step is accepted when every point stays in front and the cost
-    does not rise; damping then drops tenfold (to zero below 1e-12),
-    otherwise it rises tenfold (to at least 1e-6). Arrays hold only the
-    seeds still active; a seed that stops is written out and dropped.
+    points (S, m, 3) and pixels (S, m, 2) are per seed; shared ones,
+    (m, 3) and (m, 2), are broadcast. Returns the refined rotations,
+    translations and final costs. A trial step is accepted when every
+    point stays in front and the cost does not rise; damping then drops
+    tenfold (to zero below 1e-12), otherwise it rises tenfold (to at
+    least 1e-6). Arrays hold only the seeds still active; a seed that
+    stops is written out and dropped.
     """
     out_rot, out_trans, out_cost = np.empty_like(rot), np.empty_like(trans), np.empty(len(rot))
+    if not len(rot):
+        return out_rot, out_trans, out_cost
+    points = np.broadcast_to(points, (len(rot),) + points.shape[-2:])
+    pixels = np.broadcast_to(pixels, (len(rot),) + pixels.shape[-2:])
     cam = _camera(rot, trans, points)
     res = _residuals(K, cam, pixels)
     cost = (res * res).sum(axis=-1)
@@ -219,12 +266,7 @@ def _refine_stack(K, rot, trans, points, pixels):
     retries = np.zeros(len(rot), dtype=int)
     steps = np.zeros(len(rot), dtype=int)
     while True:
-        damped = hess + lam[:, None, None] * np.eye(6)
-        try:
-            delta = np.linalg.solve(damped, -grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # a singular system in the batch: least-norm steps for all
-            delta = (np.linalg.pinv(damped) @ -grad[..., None])[..., 0]
+        delta = _damped_steps(hess + lam[:, None, None] * np.eye(6), grad)
         # cost decrease the damped Gauss-Newton model predicts for the step
         predicted = 0.5 * (lam * (delta * delta).sum(-1) - (grad * delta).sum(-1))
         scale = 1.0 + np.abs(trans).max(axis=-1)
@@ -237,11 +279,12 @@ def _refine_stack(K, rot, trans, points, pixels):
         if not keep.all():
             done = idx[~keep]
             out_rot[done], out_trans[done], out_cost[done] = rot[~keep], trans[~keep], cost[~keep]
-            idx, rot, trans, cost, hess, grad, lam, retries, steps, delta = (
-                a[keep] for a in (idx, rot, trans, cost, hess, grad, lam, retries, steps, delta)
-            )
-            if not idx.size:
+            if not keep.any():
                 return out_rot, out_trans, out_cost
+            idx, rot, trans, cost, hess, grad, lam, retries, steps, delta, points, pixels = (
+                a[keep] for a in (idx, rot, trans, cost, hess, grad, lam, retries, steps, delta,
+                                  points, pixels)
+            )
         dr = exp_so3(delta[:, :3])
         cand_rot = _nearest_rotation(dr @ rot)
         cand_trans = (dr @ trans[..., None])[..., 0] + delta[:, 3:]
@@ -261,27 +304,33 @@ def _refine_stack(K, rot, trans, points, pixels):
         steps = steps + ok
 
 
-def _dlt_pose(K, points, pixels) -> tuple[np.ndarray, np.ndarray]:
-    """Direct linear transform initialization for 6+ correspondences."""
-    u = (pixels[:, 1] - K.cx) / K.fx
-    v = (pixels[:, 0] - K.cy) / K.fy
-    m = len(points)
-    a = np.zeros((2 * m, 12))
-    hom = np.hstack([points, np.ones((m, 1))])
-    a[0::2, 0:4] = hom
-    a[0::2, 8:12] = -u[:, None] * hom
-    a[1::2, 4:8] = hom
-    a[1::2, 8:12] = -v[:, None] * hom
+def _dlt_poses(K, points, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direct linear transform starts for a stack of 6+ point problems (F, m, 3), (F, m, 2).
+
+    Returns which problems have a start, those whose projection's depth row
+    has a positive finite norm (F,), and the rotations (F', 3, 3) and
+    translations (F', 3) of those problems, in order.
+    """
+    u = (pixels[..., 1] - K.cx) / K.fx
+    v = (pixels[..., 0] - K.cy) / K.fy
+    f, m = points.shape[:2]
+    a = np.zeros((f, 2 * m, 12))
+    hom = np.concatenate([points, np.ones((f, m, 1))], axis=-1)
+    a[:, 0::2, 0:4] = hom
+    a[:, 0::2, 8:12] = -u[..., None] * hom
+    a[:, 1::2, 4:8] = hom
+    a[:, 1::2, 8:12] = -v[..., None] * hom
     _, _, vt = np.linalg.svd(a, full_matrices=False)
-    p = vt[-1].reshape(3, 4)
-    # fix scale and sign so rotation rows are unit and depths positive
-    scale = np.linalg.norm(p[2, :3])
-    if not 0.0 < scale < np.inf:
-        raise DegenerateConfigurationError(f"DLT depth row has norm {scale}")
-    p /= scale
-    if np.median(hom @ p[2]) < 0:
-        p = -p
-    return _nearest_rotation(p[:, :3]), p[:, 3]
+    p = vt[:, -1].reshape(f, 3, 4)
+    # fix scale and sign so rotation rows are unit and depths positive; the
+    # norm is sqrt of a dot product, as np.linalg.norm takes of one vector
+    d = p[:, 2, :3]
+    norm = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    started = (0.0 < norm) & (norm < np.inf)
+    p = p[started] / norm[started, None, None]
+    behind = np.median((hom[started] @ p[:, 2, :, None])[..., 0], axis=-1) < 0
+    p = np.where(behind[:, None, None], -p, p)
+    return started, _nearest_rotation(p[:, :, :3]), p[:, :, 3]
 
 
 # fan rotations: the identity and quarter turns about z, x, y and the body diagonal
@@ -313,32 +362,91 @@ def solve_pnp(K: CameraIntrinsics, points, pixels, start: Pose | None = None) ->
     otherwise the 13-seed rotation fan runs, with the same result as
     start=None.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    if len(points) != len(pixels):
-        raise ValueError("points and pixels length mismatch")
-    if len(points) < 4:
-        raise InsufficientDataError(f"need >= 4 correspondences, got {len(points)}")
-    if is_coplanar(points):
+    points, pixels = _correspondences(points, pixels)
+    if _coplanar(points):
         raise DegenerateConfigurationError("points are coplanar")
 
     if len(points) >= 6:
-        rot, trans = _dlt_pose(K, points, pixels)
-        rot, trans = rot[None], trans[None]
-    else:
-        if start is not None:
-            rot, trans = start.rotation[None], start.translation[None]
-            if (_camera(rot, trans, points)[..., 2] > 0).all():
-                rot, trans, cost = _refine_stack(K, rot, trans, points, pixels)
-                if cost[0] <= 2 * len(points) * WARM_RMS_PX**2:
-                    return Pose(rot[0], trans[0])
-        rot, trans = _seed_poses(points)
+        pose = _dlt_stack_poses(K, points[None], pixels[None])[0]
+        if pose is None:
+            raise DegenerateConfigurationError(
+                "no DLT start: its depth row is zero or not finite, or a point is behind")
+        return pose
+    if start is not None:
+        rot, trans = start.rotation[None], start.translation[None]
+        if (_camera(rot, trans, points)[..., 2] > 0).all():
+            rot, trans, cost = _refine_stack(K, rot, trans, points, pixels)
+            if cost[0] <= 2 * len(points) * WARM_RMS_PX**2:
+                return Pose(rot[0], trans[0])
+    rot, trans = _seed_poses(points)
     front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
     if not front.any():
         raise DegenerateConfigurationError("no candidate kept all points in front")
     rot, trans, cost = _refine_stack(K, rot[front], trans[front], points, pixels)
     best = int(np.argmin(cost))  # first seed wins a tie
     return Pose(rot[best], trans[best])
+
+
+def solve_pnp_frames(K: CameraIntrinsics, frames) -> list[Pose | None]:
+    """solve_pnp over a run of frames, each (points, pixels) or None.
+
+    Gives what a loop of solve_pnp(K, points, pixels, start=previous
+    result) gives, bitwise: a Pose per frame, or None for a None frame and
+    where solve_pnp raises DegenerateConfigurationError. Frames of 6 or
+    more points ignore their start, so they are solved first, stacked by
+    point count in chunks of at most FRAME_CHUNK; frames of 4 or 5 points
+    follow in order, each started from the previous frame's result.
+    """
+    problems = [None if f is None else _correspondences(*f) for f in frames]
+    poses: list[Pose | None] = [None] * len(problems)
+    stacks: dict[int, list[int]] = {}
+    for i, problem in enumerate(problems):
+        if problem is not None and len(problem[0]) >= 6:
+            stacks.setdefault(len(problem[0]), []).append(i)
+    for stack in stacks.values():
+        for lo in range(0, len(stack), FRAME_CHUNK):
+            chunk = stack[lo : lo + FRAME_CHUNK]
+            points, pixels = (np.stack(a) for a in zip(*(problems[i] for i in chunk)))
+            for i, pose in zip(chunk, _dlt_stack_poses(K, points, pixels)):
+                poses[i] = pose
+    for i, problem in enumerate(problems):
+        if problem is not None and len(problem[0]) < 6:
+            try:
+                poses[i] = solve_pnp(K, *problem, start=poses[i - 1] if i else None)
+            except DegenerateConfigurationError:
+                pass
+    return poses
+
+
+def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
+    """solve_pnp of each 6+ point problem of a stack (F, m, 3), (F, m, 2).
+
+    None where solve_pnp raises DegenerateConfigurationError: coplanar
+    points, no DLT start, or a start with a point behind the camera.
+    """
+    poses: list[Pose | None] = [None] * len(points)
+    kept = np.flatnonzero(~_coplanar(points))
+    if not kept.size:
+        return poses
+    started, rot, trans = _dlt_poses(K, points[kept], pixels[kept])
+    kept = kept[started]
+    front = (_camera(rot, trans, points[kept])[..., 2] > 0).all(axis=-1)
+    kept = kept[front]
+    rot, trans, _ = _refine_stack(K, rot[front], trans[front], points[kept], pixels[kept])
+    for i, r, t in zip(kept, rot, trans):
+        poses[i] = Pose(r, t)
+    return poses
+
+
+def _correspondences(points, pixels) -> tuple[np.ndarray, np.ndarray]:
+    """points (m, 3) and pixels (m, 2) as float arrays, checked for m >= 4 pairs."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    if len(points) != len(pixels):
+        raise ValueError("points and pixels length mismatch")
+    if len(points) < 4:
+        raise InsufficientDataError(f"need >= 4 correspondences, got {len(points)}")
+    return points, pixels
 
 
 def resolve_scale(map_points, pair: tuple[int, int], known_distance: float) -> np.ndarray:

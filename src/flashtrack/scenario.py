@@ -9,11 +9,13 @@ one ConfigError, and only then builds the code-book. `run` trusts the config
 it is handed and composes the library per frame: `channel` samples and
 renders each flash bit through the drifting clocks, `signal` tracks the
 detections and classifies them back into bits, `codec` assigns and
-decodes the identifiers, and `pose` recovers the camera from the flasher
-map, handed the previous frame's fix as its start (none after a frame
-without one). The report records per-flasher lock-on and error events,
-per-frame detections and pose errors against ground truth, and summary
-statistics.
+decodes the identifiers. After the last frame, one `pose.solve_pnp_frames`
+call recovers the camera from the flasher map for every frame with four
+or more identified flashers: frames of six or more as batched stacks,
+frames of four or five in order, each started from the previous frame's
+fix (none after a frame without one). The report records per-flasher
+lock-on and error events, per-frame detections and pose errors against
+ground truth, and summary statistics.
 
 Detections are synthesized directly at the projected flash pixels
 (plus configured pixel noise) rather than rasterized into frames; each
@@ -394,7 +396,9 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
 
     per_frame: list[dict] = []
     max_desync = 0.0
-    last_fix: Pose | None = None  # warm start for the next 4-5 point solve
+    # each frame's correspondences, or None below four, solved after the loop
+    correspondences: list[tuple[np.ndarray, np.ndarray] | None] = []
+    truth_poses: list[Pose] = []
 
     for frame in range(n_frames):
         shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
@@ -496,28 +500,31 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             "translation_error_m": None,
         }
         usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
-        est = None
-        if len(usable) >= 4:
-            pts = np.array([u[0] for u in usable])
-            pix = np.array([u[1] for u in usable])
-            try:
-                est = pose_mod.solve_pnp(config.intrinsics, pts, pix, start=last_fix)
-                r_err, t_err = pose_mod.pose_error(est, truth_pose)
-                frame_entry["pose"] = {
-                    "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
-                    "translation_m": [round(v, 15) for v in est.translation.tolist()],
-                }
-                frame_entry["rotation_error_rad"] = r_err
-                frame_entry["translation_error_m"] = t_err
-            except pose_mod.DegenerateConfigurationError:
-                frame_entry["degenerate"] = True
-        last_fix = est
+        correspondences.append(
+            (np.array([u[0] for u in usable]), np.array([u[1] for u in usable]))
+            if len(usable) >= 4 else None
+        )
+        truth_poses.append(truth_pose)
         if debug_truth:
             frame_entry["truth_pose"] = {
                 "rotation": truth_pose.rotation.ravel().tolist(),
                 "translation_m": truth_pose.translation.tolist(),
             }
         per_frame.append(frame_entry)
+
+    fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)
+    for frame_entry, problem, est, truth_pose in zip(
+            per_frame, correspondences, fixes, truth_poses):
+        if est is not None:
+            r_err, t_err = pose_mod.pose_error(est, truth_pose)
+            frame_entry["pose"] = {
+                "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
+                "translation_m": [round(v, 15) for v in est.translation.tolist()],
+            }
+            frame_entry["rotation_error_rad"] = r_err
+            frame_entry["translation_error_m"] = t_err
+        elif problem is not None:
+            frame_entry["degenerate"] = True
 
     per_flasher = []
     for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):

@@ -381,3 +381,116 @@ class TestHelpers:
         # arccos near the identity amplifies float eps to ~sqrt(eps)
         assert r_err == pytest.approx(0.0, abs=1e-7)
         assert t_err == 0.0
+
+
+def solve_loop(k, frames):
+    """solve_pnp frame by frame, each started from the previous frame's result."""
+    poses, previous = [], None
+    for frame in frames:
+        try:
+            previous = None if frame is None else solve_pnp(k, *frame, start=previous)
+        except DegenerateConfigurationError:
+            previous = None
+        poses.append(previous)
+    return poses
+
+
+def frame_sequence(count=15, seed=9):
+    """Frames of a camera moving past a cloud, in a fixed cycle of point counts.
+
+    The cycle holds None, 4 to 8 points, a coplanar frame, and a 7-point
+    frame with two points behind the camera, which the DLT cannot start.
+    """
+    rng = np.random.default_rng(seed)
+    cloud = np.vstack([cube_points(), rng.normal(0.0, 0.4, (4, 3))])
+    cycle = [None, 4, 5, 6, 5, 7, 8, "coplanar", 5, "behind", 4, 8, 5, 6, 6]
+    frames = []
+    for i in range(count):
+        kind = cycle[i % len(cycle)]
+        truth = Pose(exp_so3([0.02 * i, -0.01 * i, 0.005 * i]), [0.01 * i, -0.02, 4.0])
+        if kind is None:
+            frames.append(None)
+            continue
+        if kind == "coplanar":
+            pts = np.column_stack([rng.uniform(-0.5, 0.5, (6, 2)), np.zeros(6)])
+        elif kind == "behind":
+            pts = np.vstack([cloud[:5], [[0.1, 0.2, -4.5], [-0.2, 0.1, -5.0]]])
+        else:
+            pts = cloud[rng.permutation(len(cloud))[:kind]]
+        cam = truth.transform(pts)
+        pix = np.column_stack(
+            [K.fy * cam[:, 1] / cam[:, 2] + K.cy, K.fx * cam[:, 0] / cam[:, 2] + K.cx])
+        frames.append((pts, pix + rng.normal(0.0, 0.3, pix.shape)))
+    return frames
+
+
+def assert_same_poses(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert_bitwise_equal(a, b)
+
+
+class TestSolvePnpFrames:
+    """A run's frames solved in one call, 6+ point frames as stacks."""
+
+    def test_matches_a_warm_started_loop_bitwise(self):
+        frames = frame_sequence()
+        got = pose.solve_pnp_frames(K, frames)
+        assert_same_poses(got, solve_loop(K, frames))
+        kinds = [None if f is None else len(f[0]) for f in frames]
+        # every kind of frame is there: a result for each point count, and
+        # None for the coplanar frame and the one the DLT leaves behind the camera
+        assert {m for m, p in zip(kinds, got) if p is not None} == {4, 5, 6, 7, 8}
+        assert got[7] is None and got[9] is None and kinds[7] == 6 and kinds[9] == 7
+        # the 5-point frame after the coplanar one starts cold, others warm
+        assert got[6] is not None and got[8] is not None
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunking_leaves_the_results(self, monkeypatch, chunk):
+        frames = frame_sequence(count=40, seed=10)
+        want = pose.solve_pnp_frames(K, frames)
+        monkeypatch.setattr(pose, "FRAME_CHUNK", chunk)
+        assert_same_poses(pose.solve_pnp_frames(K, frames), want)
+
+    def test_empty_run_and_frames_without_points(self):
+        assert pose.solve_pnp_frames(K, []) == []
+        assert pose.solve_pnp_frames(K, [None, None]) == [None, None]
+
+    def test_too_few_points_raise(self):
+        pts = cube_points()[:3]
+        with pytest.raises(InsufficientDataError):
+            pose.solve_pnp_frames(K, [None, (pts, np.zeros((3, 2)))])
+
+
+class TestStackedRefinement:
+    def test_empty_stack_returns_at_once(self):
+        rot, trans, cost = pose._refine_stack(K, np.empty((0, 3, 3)), np.empty((0, 3)),
+                                              cube_points(), np.zeros((8, 2)))
+        assert rot.shape == (0, 3, 3) and trans.shape == (0, 3) and cost.shape == (0,)
+
+    def test_singular_seed_leaves_the_other_seeds_alone(self, monkeypatch):
+        # seed 1 sees six points at one spot on its optical axis, so two
+        # columns of its Jacobian are zero and its first undamped system is
+        # exactly singular; seed 0 is a well-posed 6-point problem
+        rng = np.random.default_rng(11)
+        truth = random_pose(rng)
+        pts = np.stack([cube_points()[:6], np.tile([0.0, 0.0, 4.0], (6, 1))])
+        pix = np.stack([
+            np.array([project(K, truth, p) for p in pts[0]]) + rng.normal(0.0, 0.5, (6, 2)),
+            np.tile([K.cy + 3.0, K.cx - 2.0], (6, 1)),
+        ])
+        near = Pose(exp_so3([0.03, -0.02, 0.01]) @ truth.rotation, truth.translation + 0.05)
+        rot = np.stack([near.rotation, np.eye(3)])
+        trans = np.stack([near.translation, np.zeros(3)])
+        pinv_calls = []
+        real_pinv = np.linalg.pinv
+        monkeypatch.setattr(
+            pose.np.linalg, "pinv", lambda a: pinv_calls.append(len(a)) or real_pinv(a))
+        stacked = pose._refine_stack(K, rot, trans, pts, pix)
+        assert pinv_calls and set(pinv_calls) == {1}  # only the singular seed, alone
+        for i in range(2):
+            alone = pose._refine_stack(K, rot[i : i + 1], trans[i : i + 1], pts[i], pix[i])
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[i], want[0])

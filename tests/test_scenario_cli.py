@@ -278,7 +278,7 @@ class TestScenarioCube:
 
     def test_warm_started_poses_match_cold_solves(self, monkeypatch):
         # the camera yaws and rolls until only 5 corners stay in the image;
-        # each solve is warm-started from the previous frame's fix
+        # each 4-5 point solve is warm-started from the previous frame's fix
         def knot(t, yaw, roll):
             r = (exp_so3([0.0, yaw, 0.0]) @ exp_so3([0.0, 0.0, roll])).T
             trans = (r @ [0.0, 0.0, 4.0]).tolist()
@@ -286,21 +286,24 @@ class TestScenarioCube:
 
         raw = cube_config(duration=2.0)
         raw["trajectory"] = [knot(0.0, 0.0, 0.0), knot(0.6, 0.0, 0.0), knot(1.6, -0.42, 0.45)]
-        cold_solve = pose_mod.solve_pnp
+        solve_frames = pose_mod.solve_pnp_frames
         calls = []
 
-        def recording_solve(K, points, pixels, start=None):
-            est = cold_solve(K, points, pixels, start=start)
-            calls.append((K, points, pixels, start))  # only solves that gave a pose
-            return est
+        def recording_solve_frames(K, frames):
+            fixes = solve_frames(K, frames)
+            starts = [None] + fixes[:-1]
+            # only solves that gave a pose, with the start each was handed
+            calls.extend((K, *frame, start)
+                         for frame, fix, start in zip(frames, fixes, starts) if fix is not None)
+            return fixes
 
-        monkeypatch.setattr(pose_mod, "solve_pnp", recording_solve)
+        monkeypatch.setattr(pose_mod, "solve_pnp_frames", recording_solve_frames)
         report = run(ScenarioConfig.from_dict(raw))
         posed = [f["pose"] for f in report.per_frame if f["pose"] is not None]
         assert len(posed) == len(calls)
         assert sum(len(c[1]) == 5 and c[3] is not None for c in calls) >= 10
         for (K, points, pixels, _), got in zip(calls, posed):
-            cold = cold_solve(K, points, pixels)
+            cold = pose_mod.solve_pnp(K, points, pixels)
             assert np.abs(np.array(got["rotation"]) - cold.rotation.ravel()).max() < 1e-9
             assert np.abs(np.array(got["translation_m"]) - cold.translation).max() < 1e-9
 
@@ -803,6 +806,37 @@ class TestCli:
         # up by their smallest rotation, 0111, so the book would decode nothing
         path = self.bad_book(tmp_path, lambda d: d.update(words=["1110"]))
         self.assert_book_refused(path, capsys, "word 1110 is not its class's smallest rotation 0111")
+
+    @pytest.mark.parametrize("path", [path for path, _ in codebook.BOOK_KEYS])
+    def test_book_missing_key_refused(self, tmp_path, capsys, path):
+        holder, _, key = path.rpartition(".")
+        path_file = self.bad_book(tmp_path, lambda d: (d[holder] if holder else d).pop(key))
+        self.assert_book_refused(path_file, capsys, f"book key {path} is missing")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("mode", 4, "must be str, got int"),
+            ("words", "0111", "must be list, got str"),
+            ("table.encoding", ["rle"], "must be str, got list"),
+            ("table.size", "32", "must be int, got str"),
+            ("table.size", True, "must be int, got bool"),
+            ("table.runs", {}, "must be list, got dict"),
+        ],
+        ids=["mode-int", "words-string", "encoding-list", "size-string", "size-bool",
+             "runs-object"],
+    )
+    def test_book_mistyped_key_refused(self, tmp_path, capsys, path, value, message):
+        holder, _, key = path.rpartition(".")
+        path_file = self.bad_book(
+            tmp_path, lambda d: (d[holder] if holder else d).update({key: value}))
+        self.assert_book_refused(path_file, capsys, f"book key {path} {message}")
+
+    def test_book_with_an_empty_table_names_the_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps({"mode": "robust", "table": {}}))
+        assert cli.main(["encode", "--book", str(path), "--id", "1"]) == 2
+        assert capsys.readouterr().err == "flashtrack: book key n is missing\n"
 
     def test_book_file_that_is_not_an_object_refused(self, tmp_path, capsys):
         path = tmp_path / "book.json"
