@@ -37,8 +37,6 @@ from .codec import (
     DecodeState,
     StreamDecoder,
     assign_ids,
-    decode_window,
-    encode,
     indel_distance,
     lock_on_display,
     lock_on_time,
@@ -106,9 +104,7 @@ __all__ = [
     "codebook_from_json",
     "codebook_to_json",
     "count_drift_events",
-    "decode_window",
     "detect_flashes",
-    "encode",
     "generate_initial_codebook",
     "generate_robust_codebook",
     "heartbeat_expired",

@@ -1,7 +1,7 @@
 """Command-line surface: code-book tooling, decoding, and the simulator.
 
-Subcommands mirror the library one to one: codebook gen/report, encode,
-decode, sync-interval, lockon, and simulate. stdout carries machine
+Subcommands are thin wrappers over library calls: codebook gen/report,
+encode, decode, sync-interval, lockon, and simulate. stdout carries machine
 readable output (JSON, or CSV where a command offers --csv); everything
 meant for humans goes to stderr. Exit status is 0 on success, 1 on a
 usage error, 2 on a domain error (bad config, unknown identifier, ...).
@@ -129,11 +129,9 @@ def cmd_decode(args) -> int:
         _emit(json.dumps(result), args.out)
         return 0
     scheme = args.scheme or "hue"
-    bitizer = signal.HueBitizer if scheme == "hue" else signal.IntensityBitizer
     result = {}
     for trace in signal.read_trace_csv(args.trace):
-        push = bitizer(lut.n).push
-        # a scheme is named after the sample field it reads
+        push = signal.BITIZERS[scheme](lut.n).push
         bits = (bit for s in trace.samples for bit in push(getattr(s, scheme)))
         votes, identifier = _decode(lut, bits)
         result[str(trace.track_id)] = {"votes": votes, "locked_identifier": identifier}
@@ -202,7 +200,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--stream", help="bit string, oldest bit first")
     src.add_argument("--trace", help="trace CSV as written by the signal module")
     p_dec.add_argument(
-        "--scheme", choices=("hue", "intensity"), help="sample field of a --trace (default hue)"
+        "--scheme", choices=tuple(signal.BITIZERS), help="sample field of a --trace (default hue)"
     )
     p_dec.add_argument("--out")
     p_dec.set_defaults(func=cmd_decode)

@@ -27,7 +27,6 @@ an n-bit word is n+1 bits long.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,13 +150,6 @@ class Codebook:
         if not 1 <= identifier <= len(self.values):
             raise ValueError(f"identifier {identifier} out of range 1..{len(self.values)}")
         return BitWord(self.values[identifier - 1], self.n)
-
-    @functools.cached_property
-    def _id_by_value(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.values, 1)}
-
-    def identifier_of(self, w: BitWord) -> int | None:
-        return self._id_by_value.get(canonical_rotation(w).value)
 
 
 class LookupTable:
@@ -449,7 +441,7 @@ def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
     words = [BitWord.from_string(s) for s in data["words"]]
     if any(w.n != n for w in words):
         raise ValueError(f"every word must be {n} bits long")
-    # identifier_of looks a class up by its smallest rotation
+    # a book holds each class as its smallest rotation, as the generators write it
     values = np.array([w.value for w in words], dtype=np.int64)
     off = np.flatnonzero(_rotations_array(values, n).min(axis=1) != values)
     if len(off):

@@ -1,6 +1,6 @@
-"""Identifier encoding, streaming decode with lock-on, and ID utilities.
+"""Streaming decode with lock-on, and identifier utilities.
 
-Encoding is trivial: a beacon repeats its canonical word forever. The
+A beacon repeats its canonical word, `Codebook.word`, forever. The
 decoder is a per-stream state machine fed one sampled bit at a time.
 It keeps a rolling window of the last n+1 bits as an integer and looks
 up the last n bits (and, for robust tables, also the last n+1 bits) in
@@ -17,7 +17,8 @@ and single error for n <= 12 show those alias votes never persist for
 more than 2 consecutive steps, so a run of 3 is the smallest threshold
 that never locks onto the wrong identifier; a clean stream still locks
 within n+2 bits. The lock is the state's identifier: 0 until the rule
-fires, then the voted identifier, sticky until reset.
+fires, then the voted identifier for good; a new stream takes a fresh
+decoder.
 
 Every sampled bit of every tracked beacon passes through push_bit, so
 the step is kept lean: the state is an immutable named tuple, a fresh
@@ -31,7 +32,9 @@ from fractions import Fraction
 import math
 from typing import NamedTuple
 
-from .codebook import BitWord, Codebook, LookupTable
+import numpy as np
+
+from .codebook import BitWord, Codebook, LookupTable, generate_robust_codebook
 
 LOCK_RUN = {"initial": 1, "robust": 3}
 
@@ -53,20 +56,6 @@ class DecodeState(NamedTuple):
     @property
     def locked(self) -> bool:
         return self.identifier != 0
-
-
-def encode(cb: Codebook, identifier: int) -> BitWord:
-    """Canonical word for an identifier; transmission repeats it cyclically."""
-    return cb.word(identifier)
-
-
-def decode_window(lut: LookupTable, window: BitWord) -> int:
-    """Table lookup for one sampled window of n or n+1 bits; 0 = unknown."""
-    if window.n not in (lut.n, lut.n + 1):
-        raise ValueError(
-            f"window length {window.n} not in {{{lut.n}, {lut.n + 1}}}"
-        )
-    return lut[window.value]
 
 
 def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
@@ -109,10 +98,6 @@ class StreamDecoder:
         self.state = push_bit(self.state, self.lut, bit)
         return self.state
 
-    def reset(self) -> None:
-        """Drop all window history; used when a track association breaks."""
-        self.state = DecodeState()
-
     @property
     def identifier(self) -> int:
         return self.state.identifier
@@ -152,8 +137,6 @@ def render_lockon_table(sizes: dict[int, int] | None = None) -> dict:
     generated, which takes about 1.2 s on a 2-CPU machine (Python 3.11,
     numpy 2.4), most of it for n = 20 and 21.
     """
-    from .codebook import generate_robust_codebook
-
     rows = {}
     for n in LOCKON_TABLE_BITS:
         size = sizes[n] if sizes else len(generate_robust_codebook(n)[0])
@@ -208,8 +191,6 @@ def assign_ids(
     candidates restricts the pool to those identifiers (all of
     1..len(cb) when None), so the first flasher gets the lowest of them.
     """
-    import numpy as np
-
     pts = [np.asarray(p, dtype=float) for p in positions]
     free = sorted(range(1, len(cb) + 1) if candidates is None else set(candidates))
     if len(pts) > len(free):

@@ -104,8 +104,11 @@ class Pose:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        # written so that a NaN fails each test
-        if not np.abs(r @ r.T - np.eye(3)).max() <= ORTHONORMALITY_TOL:
+        # written so that a NaN fails each test; huge or non-finite entries
+        # fail it without an overflow or invalid-value warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            orthonormal = np.abs(r @ r.T - np.eye(3)).max() <= ORTHONORMALITY_TOL
+        if not orthonormal:
             raise ValueError("rotation is not orthonormal")
         if not abs(np.linalg.det(r) - 1.0) <= ORTHONORMALITY_TOL:
             raise ValueError("rotation determinant is not +1")
@@ -159,20 +162,13 @@ def project(K: CameraIntrinsics, pose: Pose, point) -> tuple[float, float]:
     return (K.fy * y / z + K.cy, K.fx * x / z + K.cx)
 
 
-def is_coplanar(points) -> bool:
-    """True when the centered point matrix is rank-deficient.
-
-    Deficiency means the smallest singular value is below 1e-9 of the
-    largest, which also catches collinear and coincident sets.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) < 4:
-        raise ValueError("coplanarity needs at least 4 points")
-    return bool(_coplanar(pts))
-
-
 def _coplanar(points: np.ndarray) -> np.ndarray:
-    """is_coplanar of each point set of a stack (..., m, 3)."""
+    """Whether each point set of a stack (..., m, 3) is rank-deficient.
+
+    Deficiency means the centered points' smallest singular value is below
+    COPLANARITY_RTOL of the largest, which also catches collinear and
+    coincident sets.
+    """
     centered = points - points.mean(axis=-2, keepdims=True)
     sv = np.linalg.svd(centered, compute_uv=False)
     return sv[..., -1] < COPLANARITY_RTOL * sv[..., 0]
@@ -304,13 +300,19 @@ def _refine_stack(K, rot, trans, points, pixels):
         steps = steps + ok
 
 
-def _dlt_poses(K, points, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direct linear transform starts for a stack of 6+ point problems (F, m, 3), (F, m, 2).
+def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
+    """solve_pnp of each 6+ point problem of a stack (F, m, 3), (F, m, 2).
 
-    Returns which problems have a start, those whose projection's depth row
-    has a positive finite norm (F,), and the rotations (F', 3, 3) and
-    translations (F', 3) of those problems, in order.
+    A direct linear transform gives each problem's start, refined as one
+    stack. None where solve_pnp raises DegenerateConfigurationError:
+    coplanar points, no start (the projection's depth row has no positive
+    finite norm), or a start with a point behind the camera.
     """
+    poses: list[Pose | None] = [None] * len(points)
+    kept = np.flatnonzero(~_coplanar(points))
+    if not kept.size:
+        return poses
+    points, pixels = points[kept], pixels[kept]
     u = (pixels[..., 1] - K.cx) / K.fx
     v = (pixels[..., 0] - K.cy) / K.fy
     f, m = points.shape[:2]
@@ -330,7 +332,13 @@ def _dlt_poses(K, points, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = p[started] / norm[started, None, None]
     behind = np.median((hom[started] @ p[:, 2, :, None])[..., 0], axis=-1) < 0
     p = np.where(behind[:, None, None], -p, p)
-    return started, _nearest_rotation(p[:, :, :3]), p[:, :, 3]
+    rot, trans = _nearest_rotation(p[:, :, :3]), p[:, :, 3]
+    kept, points, pixels = kept[started], points[started], pixels[started]
+    front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
+    rot, trans, _ = _refine_stack(K, rot[front], trans[front], points[front], pixels[front])
+    for i, r, t in zip(kept[front], rot, trans):
+        poses[i] = Pose(r, t)
+    return poses
 
 
 # fan rotations: the identity and quarter turns about z, x, y and the body diagonal
@@ -415,26 +423,6 @@ def solve_pnp_frames(K: CameraIntrinsics, frames) -> list[Pose | None]:
                 poses[i] = solve_pnp(K, *problem, start=poses[i - 1] if i else None)
             except DegenerateConfigurationError:
                 pass
-    return poses
-
-
-def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
-    """solve_pnp of each 6+ point problem of a stack (F, m, 3), (F, m, 2).
-
-    None where solve_pnp raises DegenerateConfigurationError: coplanar
-    points, no DLT start, or a start with a point behind the camera.
-    """
-    poses: list[Pose | None] = [None] * len(points)
-    kept = np.flatnonzero(~_coplanar(points))
-    if not kept.size:
-        return poses
-    started, rot, trans = _dlt_poses(K, points[kept], pixels[kept])
-    kept = kept[started]
-    front = (_camera(rot, trans, points[kept])[..., 2] > 0).all(axis=-1)
-    kept = kept[front]
-    rot, trans, _ = _refine_stack(K, rot[front], trans[front], points[kept], pixels[kept])
-    for i, r, t in zip(kept, rot, trans):
-        poses[i] = Pose(r, t)
     return poses
 
 

@@ -120,7 +120,7 @@ COORDINATES = Field(float, length=3, low=-1e6, high=1e6)
 FIELDS = {
     "flashers": [{  # at most the code-book size
         "position_m": COORDINATES,
-        "scheme": Field(str, choices=("hue", "intensity")),  # one for all flashers
+        "scheme": Field(str, choices=tuple(signal.BITIZERS)),  # one for all flashers
         "clock_ppm": PPM,
         # a nanosecond: every bit index floor(t / bit_period_s) of a run stays a
         # finite integer, and a gigahertz flash is far past any camera's sampling
@@ -382,7 +382,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     ]
     tracker_clock = channel.ClockModel(config.camera_clock_ppm)
     scheme = config.flashers[0].scheme if config.flashers else "hue"
-    bitizer = signal.HueBitizer if scheme == "hue" else signal.IntensityBitizer
+    bitizer = signal.BITIZERS[scheme]
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
     n_frames = _frame_count(config.duration_s, config.sensor.fps)
@@ -426,10 +426,10 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 em.clock, shared_base, config.heartbeat_timeout_s
             ):
                 continue
-            cam_pt = truth_pose.transform(spec.position.reshape(1, 3))[0]
-            if cam_pt[2] <= 0:
+            try:
+                row, col = pose_mod.project(config.intrinsics, truth_pose, spec.position)
+            except ValueError:  # behind the camera
                 continue
-            row, col = pose_mod.project(config.intrinsics, truth_pose, spec.position)
             size = config.intrinsics.image_size
             if size is not None and not (0 <= row < size[0] and 0 <= col < size[1]):
                 continue
@@ -467,8 +467,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             sample = tr.samples[-1]
             fs = flasher_states[sample.source]
             st.truth_bits.append(fs.bit)
-            value = sample.hue if scheme == "hue" else sample.intensity
-            emitted = st.bitizer.push(value)
+            emitted = st.bitizer.push(getattr(sample, scheme))
             # a backlog flush labels the last len(emitted) samples, so
             # flips are judged against the matching tail of channel bits
             truth_tail = list(st.truth_bits)[-len(emitted):] if emitted else []
@@ -494,10 +493,6 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             "t_s": shared_base,
             "detections": len(detections),
             "identified": sorted(frame_ids),
-            "pose": None,
-            "degenerate": False,
-            "rotation_error_rad": None,
-            "translation_error_m": None,
         }
         usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
         correspondences.append(
@@ -515,16 +510,16 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)
     for frame_entry, problem, est, truth_pose in zip(
             per_frame, correspondences, fixes, truth_poses):
-        if est is not None:
-            r_err, t_err = pose_mod.pose_error(est, truth_pose)
-            frame_entry["pose"] = {
+        r_err, t_err = (None, None) if est is None else pose_mod.pose_error(est, truth_pose)
+        frame_entry.update(
+            pose=None if est is None else {
                 "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
                 "translation_m": [round(v, 15) for v in est.translation.tolist()],
-            }
-            frame_entry["rotation_error_rad"] = r_err
-            frame_entry["translation_error_m"] = t_err
-        elif problem is not None:
-            frame_entry["degenerate"] = True
+            },
+            degenerate=problem is not None and est is None,
+            rotation_error_rad=r_err,
+            translation_error_m=t_err,
+        )
 
     per_flasher = []
     for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):

@@ -185,6 +185,10 @@ class HueBitizer:
         return classify_hue([hue])
 
 
+#: bitizer of each scheme; a scheme is named after the FlashSample field it reads
+BITIZERS = {"hue": HueBitizer, "intensity": IntensityBitizer}
+
+
 @dataclass
 class Detection:
     """One detected flash blob in a frame."""

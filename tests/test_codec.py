@@ -16,8 +16,6 @@ from flashtrack.codec import (
     LOCK_RUN,
     StreamDecoder,
     assign_ids,
-    decode_window,
-    encode,
     indel_distance,
     lock_on_display,
     lock_on_time,
@@ -108,30 +106,25 @@ def corrupt(bits: list, kind: str, pos: int) -> list:
 class TestEncode:
     def test_word_for_identifier(self, initial_books):
         book, _ = initial_books[4]
-        assert str(encode(book, 4)) == "0111"
+        assert str(book.word(4)) == "0111"
 
     def test_unknown_identifier(self, initial_books):
         book, _ = initial_books[4]
         with pytest.raises(ValueError):
-            encode(book, 5)
+            book.word(5)
 
 
 class TestDecodeWindow:
     def test_window_of_n_bits(self, initial_books):
         _, lut = initial_books[4]
-        assert decode_window(lut, BitWord.from_string("1101")) == 4
-        assert decode_window(lut, BitWord.from_string("0000")) == 0
+        assert lut[0b1101] == 4
+        assert lut[0b0000] == 0
 
     def test_robust_window_of_n_plus_one(self, robust_books):
         _, lut = robust_books[4]
-        assert decode_window(lut, BitWord.from_string("11110")) == 1
-        assert decode_window(lut, BitWord.from_string("00011")) == 1
-        assert decode_window(lut, BitWord.from_string("10101")) == 0
-
-    def test_bad_length_rejected(self, initial_books):
-        _, lut = initial_books[4]
-        with pytest.raises(ValueError):
-            decode_window(lut, BitWord.from_string("11"))
+        assert lut[0b11110] == 1
+        assert lut[0b00011] == 1
+        assert lut[0b10101] == 0
 
 
 class TestReferenceStream:
@@ -176,15 +169,6 @@ class TestPushBit:
         for b in "000000000":
             state = decoder.push(int(b))
         assert state.locked and state.identifier == 1
-
-    def test_reset_clears_lock(self, robust_books):
-        _, lut = robust_books[4]
-        decoder = StreamDecoder(lut)
-        for b in "011101110111":
-            decoder.push(int(b))
-        decoder.reset()
-        assert decoder.identifier == 0
-        assert decoder.state.bits_consumed == 0
 
     def test_conflicting_tables_vote_zero(self, robust_books):
         """The two window lengths must agree or the step abstains."""

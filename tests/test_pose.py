@@ -44,10 +44,17 @@ class TestPoseType:
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 2.0, [0, 0, 0])
 
+    # a refused rotation raises no overflow or invalid-value warning first
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_rotation_rejected(self):
         for bad in (np.full((3, 3), np.nan), np.where(np.eye(3) == 1, np.inf, 0.0)):
             with pytest.raises(ValueError, match="orthonormal"):
                 Pose(bad, [0, 0, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rotation_rejected(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Pose(np.diag([1e200, 1.0, 1.0]), [0, 0, 0])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_translation_rejected(self, value):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from flashtrack import cli, codebook, scenario, signal
+from flashtrack import cli, codebook, codec, scenario, signal
 from flashtrack import pose as pose_mod
 from flashtrack.codebook import MAX_BITS, MIN_BITS_INITIAL, MIN_BITS_ROBUST, Codebook
 from flashtrack.scenario import (
@@ -314,6 +314,13 @@ class TestScenarioCube:
 
 
 class TestScenarioConfig:
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rotation_refused_without_a_warning(self):
+        raw = cube_config()
+        raw["trajectory"][0]["rotation"] = [1e200, 0, 0, 0, 1, 0, 0, 0, 1]
+        with pytest.raises(ConfigError, match=r"trajectory\[0\].rotation: rotation is not"):
+            ScenarioConfig.from_dict(raw)
+
     def test_errors_list_offending_fields(self):
         raw = cube_config()
         raw["duration_s"] = -1
@@ -639,7 +646,7 @@ class TestCli:
 
     def test_lockon_table_output_pinned(self, capsys, monkeypatch):
         """JSON and --csv print the same grid, byte for byte as pinned."""
-        monkeypatch.setattr(codebook, "generate_robust_codebook", lambda n: ([None] * (3 * n - 17), None))
+        monkeypatch.setattr(codec, "generate_robust_codebook", lambda n: ([None] * (3 * n - 17), None))
         assert cli.main(["lockon", "--csv"]) == 0
         assert capsys.readouterr().out == self.LOCKON_CSV
         header, *rows = [line.split(",") for line in self.LOCKON_CSV.splitlines()]
@@ -723,7 +730,8 @@ class TestCli:
              "bits-alone", "fps-alone", "empty-range", "single-value-csv"],
     )
     def test_bad_lockon_and_report_inputs_exit_2(self, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr(codebook, "generate_robust_codebook", must_not_run)
+        for module in (codebook, codec, cli):  # each binds its own name
+            monkeypatch.setattr(module, "generate_robust_codebook", must_not_run)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"flashtrack: {message}\n"
@@ -802,8 +810,8 @@ class TestCli:
         self.assert_book_refused(self.bad_book(tmp_path, fault), capsys, message)
 
     def test_book_word_that_is_not_its_smallest_rotation_refused(self, tmp_path, capsys):
-        # the table claims 1110 for identifier 1, but identifier_of looks words
-        # up by their smallest rotation, 0111, so the book would decode nothing
+        # the table claims 1110 for identifier 1, but a book holds each class as
+        # its smallest rotation, 0111, as the generators write it
         path = self.bad_book(tmp_path, lambda d: d.update(words=["1110"]))
         self.assert_book_refused(path, capsys, "word 1110 is not its class's smallest rotation 0111")
 
