@@ -33,7 +33,11 @@ SENSOR_KINDS = ("cmos", "ccd")
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Affine local clock: rate error in ppm plus a resettable offset."""
+    """Affine local clock: rate error in ppm plus a resettable offset.
+
+    rate_ppm and offset may be arrays of many clocks alike; local_time
+    then reads every one of them at once.
+    """
 
     rate_ppm: float = 0.0
     offset: float = 0.0

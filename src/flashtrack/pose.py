@@ -45,7 +45,11 @@ seed takes the least-norm (pinv) step, so that one frame's pose never
 depends on which other frames share its batch.
 
 Pixels are (row, col) everywhere: col = fx * x / z + cx and
-row = fy * y / z + cy.
+row = fy * y / z + cy. project_points projects many points as one stack
+of (1, 3) rows, each times R^T, which is the product project takes for
+one point; the plain (m, 3) @ R^T product runs another BLAS kernel that
+can round the last bit differently, and a simulated frame's pixels must
+stay the ones project gives.
 """
 
 from __future__ import annotations
@@ -154,12 +158,27 @@ def _nearest_rotation(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def project_points(K: CameraIntrinsics, rotation, translation, points
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (m, 2) and camera depths (m,) of world points (m, 3).
+
+    rotation and translation are a pose's arrays. Each point goes through
+    the pose as its own (1, 3) row of a stack (m, 1, 3), the product
+    project takes for one point, so every pixel is bitwise project's. A
+    pixel at nonpositive depth means nothing.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 1, 3)
+    x, y, z = (points @ rotation.T + translation)[:, 0].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([K.fy * y / z + K.cy, K.fx * x / z + K.cx], axis=-1), z
+
+
 def project(K: CameraIntrinsics, pose: Pose, point) -> tuple[float, float]:
     """Pinhole projection of one world point; raises behind the camera."""
-    x, y, z = pose.transform(np.asarray(point, dtype=float).reshape(1, 3))[0]
+    (pixel,), (z,) = project_points(K, pose.rotation, pose.translation, point)
     if z <= 0:
         raise ValueError(f"point has nonpositive depth {z}")
-    return (K.fy * y / z + K.cy, K.fx * x / z + K.cx)
+    return pixel[0], pixel[1]
 
 
 def _coplanar(points: np.ndarray) -> np.ndarray:

@@ -17,6 +17,15 @@ fix (none after a frame without one). The report records per-flasher
 lock-on and error events, per-frame detections and pose errors against
 ground truth, and summary statistics.
 
+`run` first takes each frame's shared-timeline instant in one scalar
+pass over the heartbeat pulses, keeping one snapshot of the clocks per
+epoch between pulses, and every frame's true camera pose from one
+batched `interpolate_poses`. A frame's flashers are projected in one
+`pose.project_points` call, as one stack of (1, 3) rows each times R^T.
+That is the product `pose.project` takes for one flasher; the plain
+(m, 3) @ R^T product runs another BLAS kernel, which can round the last
+bit differently and so would move pixels, and with them every report.
+
 Detections are synthesized directly at the projected flash pixels
 (plus configured pixel noise) rather than rasterized into frames; each
 carries its flasher's index, so ground truth follows the flasher even
@@ -37,7 +46,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -298,20 +307,41 @@ def _log_so3(r: np.ndarray) -> np.ndarray:
     return axis * angle
 
 
+def interpolate_poses(trajectory: list[tuple[float, Pose]], times
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (F, 3, 3) and translations (F, 3) of the trajectory at times (F,).
+
+    Piecewise linear translation, geodesic rotation between knots; an
+    instant at or before the first knot takes its pose, any other outside
+    the knots the last one's. Each segment's log is taken once; the
+    exponential and the projection back onto rotations run over stacks of
+    at most FRAME_CHUNK instants, each instant's matrices bitwise what
+    they are alone.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    knot_t = np.array([t for t, _ in trajectory])
+    knot_rot = np.array([p.rotation for _, p in trajectory])
+    knot_trans = np.array([p.translation for _, p in trajectory])
+    logs = np.array([_log_so3(r1 @ r0.T) for r0, r1 in zip(knot_rot, knot_rot[1:])])
+    knot = np.where(times <= knot_t[0], 0, -1)
+    rot, trans = knot_rot[knot], knot_trans[knot]
+    inside = np.flatnonzero((knot_t[0] < times) & (times < knot_t[-1]))
+    for lo in range(0, len(inside), pose_mod.FRAME_CHUNK):
+        at = inside[lo : lo + pose_mod.FRAME_CHUNK]
+        # the first segment whose closed span holds the instant
+        seg = np.searchsorted(knot_t, times[at]) - 1
+        t0, t1 = knot_t[seg], knot_t[seg + 1]
+        s = ((times[at] - t0) / (t1 - t0))[:, None]
+        turn = pose_mod.exp_so3(logs[seg] * s) @ knot_rot[seg]
+        rot[at] = pose_mod._nearest_rotation(turn)
+        trans[at] = (1 - s) * knot_trans[seg] + s * knot_trans[seg + 1]
+    return rot, trans
+
+
 def interpolate_pose(trajectory: list[tuple[float, Pose]], t: float) -> Pose:
-    """Piecewise linear translation, geodesic rotation between knots."""
-    if t <= trajectory[0][0]:
-        return trajectory[0][1]
-    if t >= trajectory[-1][0]:
-        return trajectory[-1][1]
-    for (t0, p0), (t1, p1) in zip(trajectory, trajectory[1:]):
-        if t0 <= t <= t1:
-            s = (t - t0) / (t1 - t0)
-            rel = _log_so3(p1.rotation @ p0.rotation.T)
-            rot = pose_mod.exp_so3(rel * s) @ p0.rotation
-            rot = pose_mod._nearest_rotation(rot)
-            return Pose(rot, (1 - s) * p0.translation + s * p1.translation)
-    return trajectory[-1][1]
+    """The trajectory's pose at one instant: interpolate_poses at [t]."""
+    rot, trans = interpolate_poses(trajectory, [t])
+    return Pose(rot[0], trans[0])
 
 
 @dataclass
@@ -380,73 +410,81 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
         )
         for f, ident in zip(config.flashers, identifiers)
     ]
-    tracker_clock = channel.ClockModel(config.camera_clock_ppm)
     scheme = config.flashers[0].scheme if config.flashers else "hue"
     bitizer = signal.BITIZERS[scheme]
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
     n_frames = _frame_count(config.duration_s, config.sensor.fps)
 
+    # frame instants first: heartbeat pulses realign every clock's offset on
+    # the shared timeline, and each frame that saw one opens an epoch holding
+    # one snapshot of the clocks: the tracker's, the emitters' and every
+    # unit's as one stacked clock
+    tracker_clock = channel.ClockModel(config.camera_clock_ppm)
+    epoch = None  # (tracker clock, emitters, every unit's clock stacked)
+    instants: list[tuple[float, tuple]] = []  # (shared_base, epoch) per frame
+    heartbeats: list[dict] = []
+    next_pulse = 0.0 if config.heartbeat_enabled else math.inf
+    for frame in range(n_frames):
+        shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
+        if shared_base >= next_pulse or epoch is None:
+            while shared_base >= next_pulse:
+                tracker_clock = channel.apply_heartbeat(tracker_clock, next_pulse)
+                emitters = [replace(em, clock=channel.apply_heartbeat(em.clock, next_pulse))
+                            for em in emitters]
+                heartbeats.extend({"t_s": next_pulse, "unit": f"flasher{k}"}
+                                  for k in range(len(emitters)))
+                heartbeats.append({"t_s": next_pulse, "unit": "tracker"})
+                next_pulse += config.heartbeat_period_s
+            clocks = [tracker_clock] + [em.clock for em in emitters]
+            epoch = (tracker_clock, emitters, channel.ClockModel(
+                np.array([c.rate_ppm for c in clocks]), np.array([c.offset for c in clocks])))
+        instants.append((shared_base, epoch))
+    truth_rot, truth_trans = interpolate_poses(config.trajectory, [b for b, _ in instants])
+
     tracks: list[signal.SampleTrace] = []
     track_states: dict[int, _TrackState] = {}
     flasher_states = [_FlasherState() for _ in config.flashers]
-
-    heartbeats: list[dict] = []
-    next_pulse = 0.0 if config.heartbeat_enabled else math.inf
+    positions = np.array([f.position for f in config.flashers], dtype=float).reshape(-1, 3)
+    size = config.intrinsics.image_size
 
     per_frame: list[dict] = []
     max_desync = 0.0
     # each frame's correspondences, or None below four, solved after the loop
     correspondences: list[tuple[np.ndarray, np.ndarray] | None] = []
-    truth_poses: list[Pose] = []
 
-    for frame in range(n_frames):
-        shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
+    for frame, (shared_base, (tracker_clock, emitters, units)) in enumerate(instants):
+        locals_now = units.local_time(shared_base)
+        max_desync = max(max_desync, float(locals_now.max() - locals_now.min()))
 
-        # heartbeat pulses realign every clock's offset on the shared timeline
-        while shared_base >= next_pulse:
-            tracker_clock = channel.apply_heartbeat(tracker_clock, next_pulse)
-            for k, em in enumerate(emitters):
-                em.clock = channel.apply_heartbeat(em.clock, next_pulse)
-                heartbeats.append({"t_s": next_pulse, "unit": f"flasher{k}"})
-            heartbeats.append({"t_s": next_pulse, "unit": "tracker"})
-            next_pulse += config.heartbeat_period_s
-
-        truth_pose = interpolate_pose(config.trajectory, shared_base)
-
-        clocks = [tracker_clock] + [em.clock for em in emitters]
-        locals_now = [c.local_time(shared_base) for c in clocks]
-        max_desync = max(max_desync, max(locals_now) - min(locals_now))
-
-        # synthesize one detection per visible, active flasher
+        # synthesize one detection per visible flasher, all projected at once;
+        # every unit takes every pulse, so an emitter that missed its pulses
+        # sleeps when the tracker's last pulse is too old
         detections: list[signal.Detection] = []
-        for k, (spec, em, fs) in enumerate(zip(config.flashers, emitters, flasher_states)):
-            # an emitter that missed its heartbeat pulses sleeps
-            if config.heartbeat_enabled and channel.heartbeat_expired(
-                em.clock, shared_base, config.heartbeat_timeout_s
-            ):
-                continue
-            try:
-                row, col = pose_mod.project(config.intrinsics, truth_pose, spec.position)
-            except ValueError:  # behind the camera
-                continue
-            size = config.intrinsics.image_size
-            if size is not None and not (0 <= row < size[0] and 0 <= col < size[1]):
-                continue
-
-            shared_t = channel.sample_time(config.sensor, tracker_clock, frame, row)
-            index, fs.bit = em.bit_at(shared_t)
-            fs.indices.append(index)
-            intensity, hue = channel.render_sample(
-                fs.bit, scheme, rng, config.intensity_sigma, config.hue_sigma
-            )
-            pixel = (row, col)
-            if config.pixel_sigma:
-                pixel = (
-                    row + rng.normal(0.0, config.pixel_sigma),
-                    col + rng.normal(0.0, config.pixel_sigma),
+        if not (config.heartbeat_enabled and channel.heartbeat_expired(
+                tracker_clock, shared_base, config.heartbeat_timeout_s)):
+            pixels, depth = pose_mod.project_points(
+                config.intrinsics, truth_rot[frame], truth_trans[frame], positions)
+            seen = depth > 0
+            if size is not None:
+                rows, cols = pixels.T
+                seen &= (0 <= rows) & (rows < size[0]) & (0 <= cols) & (cols < size[1])
+            for k in np.flatnonzero(seen).tolist():
+                row, col = pixels[k].tolist()
+                fs = flasher_states[k]
+                shared_t = channel.sample_time(config.sensor, tracker_clock, frame, row)
+                index, fs.bit = emitters[k].bit_at(shared_t)
+                fs.indices.append(index)
+                intensity, hue = channel.render_sample(
+                    fs.bit, scheme, rng, config.intensity_sigma, config.hue_sigma
                 )
-            detections.append(signal.Detection(pixel, intensity, hue, source=k))
+                pixel = (row, col)
+                if config.pixel_sigma:
+                    pixel = (
+                        row + rng.normal(0.0, config.pixel_sigma),
+                        col + rng.normal(0.0, config.pixel_sigma),
+                    )
+                detections.append(signal.Detection(pixel, intensity, hue, source=k))
 
         detections.sort(key=lambda d: d.pixel)
         tracks = signal.associate(tracks, detections, config.gating_radius_px, shared_base)
@@ -499,18 +537,17 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             (np.array([u[0] for u in usable]), np.array([u[1] for u in usable]))
             if len(usable) >= 4 else None
         )
-        truth_poses.append(truth_pose)
         if debug_truth:
             frame_entry["truth_pose"] = {
-                "rotation": truth_pose.rotation.ravel().tolist(),
-                "translation_m": truth_pose.translation.tolist(),
+                "rotation": truth_rot[frame].ravel().tolist(),
+                "translation_m": truth_trans[frame].tolist(),
             }
         per_frame.append(frame_entry)
 
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)
-    for frame_entry, problem, est, truth_pose in zip(
-            per_frame, correspondences, fixes, truth_poses):
-        r_err, t_err = (None, None) if est is None else pose_mod.pose_error(est, truth_pose)
+    for frame_entry, problem, est, rot, trans in zip(
+            per_frame, correspondences, fixes, truth_rot, truth_trans):
+        r_err, t_err = (None, None) if est is None else pose_mod.pose_error(est, Pose(rot, trans))
         frame_entry.update(
             pose=None if est is None else {
                 "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],

@@ -19,6 +19,8 @@ existing tracks frame over frame by nearest neighbour within a gate.
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -87,18 +89,22 @@ def classify_intensity(window) -> list[int]:
     The largest consecutive jump fixes its two samples' labels; every
     other label toggles across a consecutive change of at least 40% of
     that jump and holds across anything smaller. Raises
-    NoTransitionError on a flat window (legal codes always transition).
+    NoTransitionError on a flat window (legal codes always transition),
+    and ValueError on a sample that is not finite.
     """
-    x = np.asarray(window, dtype=float)
+    x = list(map(float, window))
     if len(x) < 2:
         raise ValueError("window must hold at least 2 samples")
-    jumps = np.abs(x[1:] - x[:-1])
-    largest = float(jumps.max())
+    if not all(map(math.isfinite, x)):
+        raise ValueError("window samples must be finite")
+    jumps = list(map(abs, map(operator.sub, x[1:], x)))
+    largest = max(jumps)
     if largest == 0.0:
         raise NoTransitionError("window has no intensity transition")
 
-    k = int(jumps.argmax())
-    toggles = (jumps >= TRANSITION_FRACTION * largest).tolist()
+    k = jumps.index(largest)  # the first largest
+    threshold = TRANSITION_FRACTION * largest
+    toggles = [jump >= threshold for jump in jumps]
     toggles[k] = True  # the largest jump always counts
     parity = list(accumulate(toggles, int.__xor__, initial=0))  # toggles mod 2 up to each sample
     flip = parity[k] ^ (not x[k + 1] > x[k])
@@ -289,18 +295,19 @@ def associate(
     enough; no optimal assignment is attempted.
     """
     open_tracks = [tr for tr in tracks if tr.samples]
-    pairs = []
-    for i, tr in enumerate(open_tracks):
-        r0, c0 = tr.last_pixel
-        for j, det in enumerate(detections):
-            dist = float(np.hypot(det.pixel[0] - r0, det.pixel[1] - c0))
-            if dist <= gating_radius:
-                pairs.append((dist, i, j))
-    pairs.sort()
+    pairs: list[tuple[int, int]] = []
+    if open_tracks and detections:
+        last = np.array([tr.last_pixel for tr in open_tracks], dtype=float)
+        pixels = np.array([det.pixel for det in detections], dtype=float)
+        dist = np.hypot(pixels[:, 0] - last[:, :1], pixels[:, 1] - last[:, 1:])
+        track_i, det_j = np.nonzero(dist <= gating_radius)
+        # (dist, i, j) order: closest first, ties to the lower track, then detection
+        order = np.lexsort((det_j, track_i, dist[track_i, det_j]))
+        pairs = list(zip(track_i[order].tolist(), det_j[order].tolist()))
 
     matched_tracks: set[int] = set()
     matched_dets: set[int] = set()
-    for dist, i, j in pairs:
+    for i, j in pairs:
         if i in matched_tracks or j in matched_dets:
             continue
         matched_tracks.add(i)
@@ -343,24 +350,27 @@ def write_trace_csv(path, traces: list[SampleTrace]) -> None:
 
 
 def read_trace_csv(path) -> list[SampleTrace]:
-    by_id: dict[int, SampleTrace] = {}
+    """The traces of a file write_trace_csv wrote, in track_id order.
+
+    A row short of fields, or a t, intensity, hue, row or col that is not
+    a finite number, is refused with a ValueError naming its line.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(TRACE_COLUMNS) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"trace file missing columns: {sorted(missing)}")
-        rows = sorted(
-            reader, key=lambda r: (int(r["track_id"]), float(r["t"]))
-        )
-        for row in rows:
-            tid = int(row["track_id"])
-            tr = by_id.setdefault(tid, SampleTrace(tid))
-            tr.append(
-                FlashSample(
-                    float(row["t"]),
-                    float(row["intensity"]),
-                    float(row["hue"]),
-                    (float(row["row"]), float(row["col"])),
-                )
-            )
+        for row in reader:
+            line = f"trace file line {reader.line_num}"
+            if any(row[key] is None for key in TRACE_COLUMNS):
+                raise ValueError(f"{line}: fewer than {len(TRACE_COLUMNS)} fields")
+            values = [float(row[key]) for key in TRACE_COLUMNS[1:]]
+            bad = [key for key, v in zip(TRACE_COLUMNS[1:], values) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{line}: {', '.join(bad)} not finite")
+            rows.append((int(row["track_id"]), *values))
+    by_id: dict[int, SampleTrace] = {}
+    for tid, t, intensity, hue, r, c in sorted(rows, key=lambda row: row[:2]):
+        by_id.setdefault(tid, SampleTrace(tid)).append(FlashSample(t, intensity, hue, (r, c)))
     return [by_id[k] for k in sorted(by_id)]

@@ -12,6 +12,7 @@ from flashtrack.pose import (
     exp_so3,
     pose_error,
     project,
+    project_points,
     reprojection_jacobian,
     reprojection_residuals,
     resolve_scale,
@@ -100,6 +101,33 @@ class TestProjection:
             )
             got = project(K, pose, p)
             assert np.allclose(got, want, atol=1e-12)
+
+    def test_stacked_projection_is_project_bitwise(self):
+        """project_points on 24 points equals project on each, to the bit.
+
+        Each point must go through the pose as its own (1, 3) row: the
+        plain (24, 3) @ R.T product rounds differently in the last bit, so
+        a switch to it fails here. Points behind the camera have
+        nonpositive depth in the stack where project raises.
+        """
+        rng = np.random.default_rng(14)
+        behind = 0
+        for _ in range(200):
+            pose = Pose(exp_so3(rng.normal(0.0, 1.5, 3)), rng.normal(0.0, 2.0, 3))
+            pts = rng.normal(0.0, 3.0, (24, 3))
+            pixels, depth = project_points(K, pose.rotation, pose.translation, pts)
+            for p, pixel, z in zip(pts, pixels, depth):
+                # project as it was before project_points existed: one (1, 3) row
+                x, y, want_z = pose.transform(p.reshape(1, 3))[0]
+                assert z == want_z
+                if z <= 0:
+                    behind += 1
+                    with pytest.raises(ValueError, match="nonpositive depth"):
+                        project(K, pose, p)
+                    continue
+                assert np.array_equal(pixel, project(K, pose, p))
+                assert np.array_equal(pixel, [K.fy * y / z + K.cy, K.fx * x / z + K.cx])
+        assert behind > 100
 
 
 class TestSolvePnp:

@@ -573,6 +573,37 @@ class TestTrajectoryInterpolation:
         mid = interpolate_pose(knots, 0.5)
         assert np.allclose(mid.rotation, exp_so3([0.0, 0.0, 0.4]), atol=1e-12)
 
+    @staticmethod
+    def one_instant(trajectory, t):
+        """The per-instant formula interpolate_poses batches, as a loop."""
+        if t <= trajectory[0][0]:
+            return trajectory[0][1]
+        if t >= trajectory[-1][0]:
+            return trajectory[-1][1]
+        for (t0, p0), (t1, p1) in zip(trajectory, trajectory[1:]):
+            if t0 <= t <= t1:
+                s = (t - t0) / (t1 - t0)
+                rel = scenario._log_so3(p1.rotation @ p0.rotation.T)
+                rot = pose_mod._nearest_rotation(pose_mod.exp_so3(rel * s) @ p0.rotation)
+                return Pose(rot, (1 - s) * p0.translation + s * p1.translation)
+        return trajectory[-1][1]
+
+    def test_batched_poses_are_each_instant_bitwise(self, monkeypatch):
+        """interpolate_poses over many instants, in several chunks, equals
+        interpolate_pose and the per-instant loop at each, to the bit."""
+        monkeypatch.setattr(pose_mod, "FRAME_CHUNK", 7)
+        rng = np.random.default_rng(14)
+        knot_t = [0.0, 0.4, 1.1, 1.5, 3.0]
+        trajectory = [(t, Pose(exp_so3(rng.normal(0.0, 1.0, 3)), rng.normal(0.0, 2.0, 3)))
+                      for t in knot_t]
+        times = np.concatenate([rng.uniform(-0.5, 3.5, 40), knot_t, [-1e9, 1e9, 3.0 + 1e-15]])
+        rot, trans = scenario.interpolate_poses(trajectory, times)
+        assert rot.shape == (len(times), 3, 3) and trans.shape == (len(times), 3)
+        for t, r, tr in zip(times.tolist(), rot, trans):
+            one, want = interpolate_pose(trajectory, t), self.one_instant(trajectory, t)
+            assert np.array_equal(r, one.rotation) and np.array_equal(tr, one.translation)
+            assert np.array_equal(r, want.rotation) and np.array_equal(tr, want.translation)
+
 
 class TestCli:
     def test_lockon_single_value(self, capsys):
@@ -748,6 +779,19 @@ class TestCli:
         # an empty stream is a stream, not a missing trace
         assert cli.main(["decode", "--book", str(book_path), "--stream", ""]) == 0
         assert capsys.readouterr().out == '{"votes": [], "locked_identifier": 0, "bits": 0}\n'
+
+    @pytest.mark.parametrize("scheme", ["hue", "intensity"])
+    def test_decode_trace_refuses_non_finite_sample(self, tmp_path, capsys, scheme):
+        book_path, trace = tmp_path / "book.json", tmp_path / "trace.csv"
+        argv = ["codebook", "gen", "--bits", "4", "--mode", "initial", "--out", str(book_path)]
+        assert cli.main(argv) == 0
+        trace.write_text("track_id,t,intensity,hue,row,col\n0,0.0,100,0,1,2\n0,0.1,20,240,1,2\n"
+                         "0,0.2,nan,0,1,2\n0,0.3,nan,0,1,2\n")
+        argv = ["decode", "--book", str(book_path), "--trace", str(trace), "--scheme", scheme]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "flashtrack: trace file line 4: intensity not finite\n"
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

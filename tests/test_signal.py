@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashtrack import signal
@@ -55,6 +55,12 @@ class TestClassifyIntensity:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             classify_intensity([10])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sample_refused(self, bad):
+        for window in ([100.0, 20.0, bad, bad], [bad, 100.0, 20.0], [20.0, 100.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                classify_intensity(window)
 
     def test_square_wave_with_linear_drift(self):
         rng = np.random.default_rng(0)
@@ -428,6 +434,82 @@ class TestAssociate:
             tr.append(FlashSample(1.0, 50.0, 0.0, (10.0, 10.0)))
 
 
+def associate_loop(tracks, detections, gating_radius, t):
+    """associate as a loop over every track x detection pair, sorted as tuples."""
+    open_tracks = [tr for tr in tracks if tr.samples]
+    pairs = []
+    for i, tr in enumerate(open_tracks):
+        r0, c0 = tr.last_pixel
+        for j, det in enumerate(detections):
+            dist = float(np.hypot(det.pixel[0] - r0, det.pixel[1] - c0))
+            if dist <= gating_radius:
+                pairs.append((dist, i, j))
+    pairs.sort()
+    matched_tracks, matched_dets = set(), set()
+    for _, i, j in pairs:
+        if i in matched_tracks or j in matched_dets:
+            continue
+        matched_tracks.add(i)
+        matched_dets.add(j)
+        det = detections[j]
+        open_tracks[i].append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
+        open_tracks[i].missed = 0
+    survivors = []
+    for i, tr in enumerate(open_tracks):
+        if i not in matched_tracks:
+            tr.missed += 1
+            if tr.missed > 1:
+                continue
+        survivors.append(tr)
+    next_id = max((tr.track_id for tr in tracks), default=-1) + 1
+    for j, det in enumerate(detections):
+        if j not in matched_dets:
+            tr = SampleTrace(next_id)
+            tr.append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
+            survivors.append(tr)
+            next_id += 1
+    return survivors
+
+
+# lattice points give duplicate pixels, equal distances and exact gates (a
+# 3-4-5 pair at radius 5); free floats give everything else
+COORD = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0))
+PIXEL = st.tuples(COORD, COORD)
+# (last pixel or None for a track without samples, frames missed)
+TRACKS = st.lists(st.tuples(st.one_of(st.none(), PIXEL), st.integers(0, 1)), max_size=8)
+
+
+class TestAssociateOrder:
+    @staticmethod
+    def play(assoc, tracks, pixels, radius):
+        """Outcome of assoc on fresh tracks: each track's id, misses and samples."""
+        live = []
+        for track_id, (last, missed) in enumerate(tracks):
+            tr = SampleTrace(3 * track_id, missed=missed)
+            if last is not None:
+                tr.append(FlashSample(0.0, 1.0, 2.0, last, source=-1))
+            live.append(tr)
+        dets = [Detection(p, float(j), 0.0, source=j) for j, p in enumerate(pixels)]
+        return [
+            (tr.track_id, tr.missed, [(s.t, s.intensity, s.pixel, s.source) for s in tr.samples])
+            for tr in assoc(live, dets, radius, 1.0)
+        ]
+
+    @given(TRACKS, st.lists(PIXEL, max_size=8), st.one_of(
+        st.sampled_from([1.0, 2.0, 5.0]), st.floats(0.0, 20.0)))
+    @settings(max_examples=200, deadline=None)
+    @example([((0.0, 0.0), 0)], [(3.0, 4.0)], 5.0)  # a pair at exactly the gate
+    @example([((5.0, 5.0), 0), ((5.0, 5.0), 1)], [(5.0, 7.0), (7.0, 5.0), (3.0, 5.0)], 2.0)
+    @example([((1.0, 1.0), 0), ((2.0, 2.0), 0)], [(1.5, 1.5), (1.5, 1.5)], 1.0)  # duplicates
+    def test_matches_pair_loop(self, tracks, pixels, radius):
+        got = self.play(associate, tracks, pixels, radius)
+        assert got == self.play(associate_loop, tracks, pixels, radius)
+
+    def test_pair_at_the_gate_matches(self):
+        out = self.play(associate, [((0.0, 0.0), 0)], [(3.0, 4.0)], 5.0)
+        assert out == [(0, 0, [(0.0, 1.0, (0.0, 0.0), -1), (1.0, 0.0, (3.0, 4.0), 0)])]
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         a = SampleTrace(track_id=2)
@@ -442,3 +524,20 @@ class TestTraceCsv:
         assert back[0].samples[0].t == 0.1
         assert back[0].samples[1].pixel == (10.25, 11.75)
         assert back[1].samples[0].intensity == 80.0
+
+    @pytest.mark.parametrize("column", ["t", "intensity", "hue", "row", "col"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_refused_naming_its_line(self, tmp_path, column, bad):
+        path = tmp_path / "trace.csv"
+        rows = [["0", "0.0", "20.0", "10.0", "1.0", "2.0"],
+                ["0", "0.1", "5.0", "250.0", "1.0", "2.0"]]
+        rows[1][signal.TRACE_COLUMNS.index(column)] = bad
+        path.write_text("\n".join(",".join(r) for r in [signal.TRACE_COLUMNS] + rows) + "\n")
+        with pytest.raises(ValueError, match=f"trace file line 3: {column} not finite"):
+            read_trace_csv(path)
+
+    def test_short_row_refused_naming_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("track_id,t,intensity,hue,row,col\n0,0.0,20.0,10.0,1.0,2.0\n0,0.1,5.0\n")
+        with pytest.raises(ValueError, match="trace file line 3: fewer than 6 fields"):
+            read_trace_csv(path)

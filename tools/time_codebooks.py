@@ -5,7 +5,8 @@
 Imports flashtrack from this checkout's src/. Records the median build
 time of the initial and robust books for n = 7..21, and of `flashtrack
 codebook report --bits 7..21` in a fresh process, over the repeats; and the
-CPU count, Python and numpy versions and git commit (-dirty: uncommitted).
+CPU count, Python and numpy versions and git commit (-dirty: uncommitted;
+null outside a checkout).
 """
 
 import argparse
@@ -23,6 +24,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 from flashtrack.codebook import generate_initial_codebook, generate_robust_codebook  # noqa: E402
+from git_commit import git_commit  # noqa: E402
 
 BITS = range(7, 22)
 REPORT = [sys.executable, "-m", "flashtrack.cli", "codebook", "report", "--bits", "7..21"]
@@ -46,8 +48,7 @@ def main() -> None:
     result = {
         "cpu_count": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "repeats": args.repeats,
-        "commit": subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                                 capture_output=True, text=True).stdout.strip(),
+        "commit": git_commit(ROOT),
         "initial_s": {n: median_s(lambda: generate_initial_codebook(n), args.repeats) for n in BITS},
         "robust_s": {n: median_s(lambda: generate_robust_codebook(n), args.repeats) for n in BITS},
         "report_7_21_wall_s": median_s(lambda: subprocess.run(REPORT, **report_kw), args.repeats),

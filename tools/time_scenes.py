@@ -6,7 +6,7 @@ Imports flashtrack from this checkout's src/ and the scenes from bench/scenes.py
 and holds BLAS to one thread as bench/run.py does. Records the median wall time
 over the repeats of run(from_dict(raw)), and the frames/s it gives, for bench
 cube(), room(1), room(2) and room(29); and the CPU count, Python and numpy
-versions and git commit (-dirty: uncommitted).
+versions and git commit (-dirty: uncommitted; null outside a checkout).
 """
 
 import argparse
@@ -14,7 +14,6 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 
@@ -25,6 +24,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 import scenes  # noqa: E402
+from git_commit import git_commit  # noqa: E402
 from flashtrack.scenario import ScenarioConfig, run  # noqa: E402
 
 SCENES = {"cube": scenes.cube, **{f"room-{s}": lambda s=s: scenes.room(s) for s in (1, 2, 29)}}
@@ -48,8 +48,7 @@ def main() -> None:
     result = {
         "cpu_count": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "repeats": args.repeats,
-        "commit": subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                                 capture_output=True, text=True).stdout.strip(),
+        "commit": git_commit(ROOT),
         "scenes": {name: time_scene(build, args.repeats) for name, build in SCENES.items()},
     }
     with open(args.out, "w") as fh:
