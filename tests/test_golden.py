@@ -26,7 +26,29 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def cube_asleep() -> dict:
+    """The bench cube with flasher clocks spread over +/-1050 ppm and a 0.7 s
+    heartbeat that times out after 0.4 s, so every unit sleeps for the rest of
+    each period: detections drop to none and tracks close and reopen."""
+    raw = scenes.cube()
+    for i, flasher in enumerate(raw["flashers"]):
+        flasher["clock_ppm"] = 300.0 * (i - 3.5)
+    raw["heartbeat"] = {"enabled": True, "period_s": 0.7, "timeout_s": 0.4}
+    return raw
+
+
+def room_hue() -> dict:
+    """The bench room (cmos rolling shutter, clocks within +/-40 ppm) with
+    hue flashes under hue noise sigma 25 degrees and 0.3 px pixel noise."""
+    raw = scenes.room(5)
+    for flasher in raw["flashers"]:
+        flasher["scheme"] = "hue"
+    raw["noise"] = {"hue_sigma": 25.0, "pixel_sigma": 0.3}
+    return raw
+
+
 #: sha256 of run(from_dict(raw), debug_truth=True).to_json() per bench scene
+#: and per variant above
 SCENE_DIGESTS = {
     "cube": ("ef73edf015fb938db6a93b02cb9e45a2640bd974ac6c8231360f14852c32e9e2", scenes.cube),
     "room-1": ("5ea2835804e9ee09e2985dd566afe066dd9ee7d7083b60f380f34e3d34ca30c0",
@@ -35,6 +57,9 @@ SCENE_DIGESTS = {
                lambda: scenes.room(2)),
     "room-29": ("8b460c89856ca0208c43519b4ecf08648ebecf8fb2c7caa24e404f954905b537",
                 lambda: scenes.room(29)),
+    "cube-asleep": ("2a3ad5468a2fe0722201c597bb69a9c56fbf5d449558ded8f427de6886e3c4f0",
+                    cube_asleep),
+    "room-hue": ("9e9711642b907ba21c59f9d2536794118e6e84c9cb67e6cac4c4fe9e9af5780e", room_hue),
 }
 
 
