@@ -50,7 +50,6 @@ from .pose import (
     Pose,
     pose_error,
     project,
-    resolve_scale,
     solve_pnp,
     solve_pnp_frames,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "read_trace_csv",
     "render_lockon_table",
     "render_samples",
-    "resolve_scale",
     "run",
     "sample_stream",
     "solve_pnp",

@@ -6,15 +6,15 @@ pulses two clocks diverge linearly at their rate difference; the pulse
 period that keeps any pair within delta_max is delta_max / (2 *
 rho_max) with rho_max the worst single-clock rate in ppm.
 
-Sampling: the tracker schedules one exposure per frame on its own
-clock. A global-shutter (CCD) sensor samples every image row at the
-same instant; a rolling-shutter (CMOS) sensor adds a per-row delay, so
-the sample time of a flash depends on which row its image crosses.
-Each scheduled local time is scaled through the tracker clock's rate
-to a shared timeline and then through the flasher's clock to find
+Sampling: the tracker schedules one exposure per frame on its own clock.
+A global-shutter (CCD) sensor samples every image row at the same
+instant; a rolling-shutter (CMOS) sensor adds a per-row delay, so the
+sample time of a flash depends on which row its image crosses. Each
+scheduled local time is scaled through the tracker clock's rate to a
+shared timeline and then through the flasher's own `ClockModel` to find
 which code bit was lit. Rate mismatch or row crossing makes the
-effective sampling period deviate from the bit period, which shows up
-as occasional duplicated or skipped bit indices: exactly the single
+effective sampling period deviate from the bit period, which shows up as
+occasional duplicated or skipped bit indices: exactly the single
 insertion/deletion errors the robust code-book absorbs.
 """
 
@@ -66,23 +66,18 @@ class SensorTiming:
             raise ValueError("row readout sweep cannot exceed the frame period")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmitterState:
-    """One flasher: its word and bit clock."""
+    """One flasher: its word and bit period."""
 
     word: BitWord
     bit_period: float
-    clock: ClockModel
 
     def bit_at_local(self, tau: float) -> tuple[int, int]:
         """(bit index, bit value) lit at flasher-local time tau."""
         index = math.floor(tau / self.bit_period)
         n = self.word.n
         return index, (self.word.value >> (n - 1 - index % n)) & 1
-
-    def bit_at(self, shared_t: float) -> tuple[int, int]:
-        """(bit index, bit value) lit at shared-timeline instant shared_t."""
-        return self.bit_at_local(self.clock.local_time(shared_t))
 
 
 def sync_interval(delta_max: float, rho_max_ppm: float) -> float:
@@ -101,7 +96,7 @@ def sync_interval(delta_max: float, rho_max_ppm: float) -> float:
 def apply_heartbeat(clock: ClockModel, true_time: float) -> ClockModel:
     """Zero the clock's error at the pulse instant; the rate stays wrong.
 
-    Solves local_time(true_time) = true_time for the offset.
+    Solves local_time(true_time) = true_time for each clock's offset.
     """
     return ClockModel(
         rate_ppm=clock.rate_ppm,
@@ -123,7 +118,8 @@ def sample_time(
     """Shared-timeline instant at which one frame exposes one image row.
 
     The exposure is scheduled on the tracker clock; a rolling shutter
-    delays each row by its readout time, a global shutter ignores row.
+    delays each row (or array of rows) by its readout time, a global
+    shutter ignores row.
     """
     schedule = frame * (1.0 / sensor.fps) + sensor.exposure_mid
     if sensor.kind == "cmos":
@@ -133,16 +129,17 @@ def sample_time(
 
 def sample_stream(
     emitter: EmitterState,
+    clock: ClockModel,
     sensor: SensorTiming,
     tracker_clock: ClockModel,
     row_trajectory,
     duration: float,
 ) -> list[tuple[float, int, int]]:
-    """Sample one flasher through the tracker sensor for a time span.
+    """Sample one flasher, running on clock, through the tracker sensor.
 
     row_trajectory maps frame number to the image row of the flash
     (only consulted for rolling shutter). Each frame's sample_time is
-    read through the emitter clock to pick the lit bit. Returns (shared
+    read through the flasher clock to pick the lit bit. Returns (shared
     time, bit index, bit value) per frame. Consecutive equal indices
     are an insertion (the same bit sampled twice), gaps are deletions.
     """
@@ -153,7 +150,7 @@ def sample_stream(
     while frame * (1.0 / sensor.fps) <= duration:
         row = float(row_trajectory(frame)) if sensor.kind == "cmos" else 0.0
         shared = sample_time(sensor, tracker_clock, frame, row)
-        out.append((shared, *emitter.bit_at(shared)))
+        out.append((shared, *emitter.bit_at_local(clock.local_time(shared))))
         frame += 1
     return out
 

@@ -147,71 +147,60 @@ def render_lockon_table(sizes: dict[int, int] | None = None) -> dict:
     return rows
 
 
-def _as_bits(w) -> tuple[int, ...]:
-    if isinstance(w, BitWord):
-        return w.bits
-    if isinstance(w, str):
-        return BitWord.from_string(w).bits
-    return tuple(int(b) for b in w)
+def indel_distance(a: BitWord, b: BitWord) -> int:
+    """Minimum single-bit insertions plus deletions turning word a into b.
 
-
-def indel_distance(a, b) -> int:
-    """Minimum single-symbol insertions plus deletions turning a into b.
-
-    Computed as len(a) + len(b) - 2 * LCS(a, b); a substitution costs 2
-    because it decomposes into one deletion plus one insertion. The LCS is
-    bit-parallel (Allison & Dix 1986; Hyyro 2004): v holds one row of the
-    LCS table over b, bit j clear where the row steps up from b[:j] to
-    b[:j+1], so each symbol of a costs a few integer operations and the
-    LCS is the number of clear bits.
+    Computed as a.n + b.n - 2 * LCS(a, b); a substitution costs 2 because
+    it decomposes into one deletion plus one insertion. The LCS is
+    bit-parallel (Allison & Dix 1986; Hyyro 2004) on the words' integers,
+    both read last bit first, which leaves it unchanged: v holds one row
+    of the LCS table over b, bit j clear where the row steps up at b's
+    j-th bit from the end, and the LCS is the number of clear bits.
     """
-    xa, xb = _as_bits(a), _as_bits(b)
-    match: dict[int, int] = {}  # symbol -> positions in b as bits
-    for j, y in enumerate(xb):
-        match[y] = match.get(y, 0) | (1 << j)
-    full = (1 << len(xb)) - 1
+    full = (1 << b.n) - 1
+    match = (full ^ b.value, b.value)  # b's positions of each bit value
     v = full
-    for x in xa:
-        u = v & match.get(x, 0)
+    for i in range(a.n):
+        u = v & match[(a.value >> i) & 1]
         v = ((v + u) | (v - u)) & full
-    lcs = len(xb) - v.bit_count()
-    return len(xa) + len(xb) - 2 * lcs
+    return a.n + b.n - 2 * (b.n - v.bit_count())
 
 
-def assign_ids(
-    positions, visibility_radius: float, cb: Codebook, candidates=None
-) -> dict[int, int]:
+def assign_ids(positions, visibility_radius: float, cb: Codebook, ids=None) -> dict[int, int]:
     """Greedy identifier assignment spreading edit distance locally.
 
-    Flashers are processed in order; each takes the unused identifier
-    maximizing the minimum indel distance to identifiers already held
-    by flashers within visibility_radius. Distant flashers impose no
-    constraint, so close code pairs may be reused across rooms. Ties
-    break toward the lowest identifier, so the first flasher gets 1.
-    candidates restricts the pool to those identifiers (all of
-    1..len(cb) when None), so the first flasher gets the lowest of them.
+    Returns each flasher's identifier by index. ids holds each flasher's
+    explicit identifier, or None to assign one; ids=None assigns all. A
+    flasher with one keeps it and counts as a neighbour from the start;
+    the others are processed in order, each taking the unused identifier
+    maximizing the minimum indel distance to identifiers already held by
+    flashers within visibility_radius. Distant flashers impose no
+    constraint, so close code pairs may be reused across rooms. Ties break
+    toward the lowest identifier, so a flasher with no neighbour takes the
+    lowest unused one.
     """
     pts = [np.asarray(p, dtype=float) for p in positions]
-    free = sorted(range(1, len(cb) + 1) if candidates is None else set(candidates))
-    if len(pts) > len(free):
-        raise ValueError(f"{len(pts)} flashers but only {len(free)} code-words")
+    ids = [None] * len(pts) if ids is None else ids
+    assigned = {i: ident for i, ident in enumerate(ids) if ident is not None}
+    auto = [i for i, ident in enumerate(ids) if ident is None]
+    free = sorted(set(range(1, len(cb) + 1)) - set(assigned.values()))
+    if len(auto) > len(free):
+        raise ValueError(f"{len(auto)} flashers but only {len(free)} code-words")
 
-    bits = {ident: cb.word(ident).bits for ident in free}
     # a pair's distance is asked again by every later flasher near both
     pair_distance: dict[tuple[int, int], int] = {}
 
     def distance(a: int, b: int) -> int:
         key = (a, b) if a < b else (b, a)
         if key not in pair_distance:
-            pair_distance[key] = indel_distance(bits[a], bits[b])
+            pair_distance[key] = indel_distance(cb.word(a), cb.word(b))
         return pair_distance[key]
 
-    assigned: dict[int, int] = {}
-    for i, p in enumerate(pts):
+    for i in auto:
         neighbours = [
             assigned[j]
             for j in assigned
-            if float(np.linalg.norm(pts[j] - p)) <= visibility_radius
+            if float(np.linalg.norm(pts[j] - pts[i])) <= visibility_radius
         ]
         if neighbours:
             best = max(
@@ -222,4 +211,4 @@ def assign_ids(
             best = free[0]
         assigned[i] = best
         free.remove(best)
-    return assigned
+    return dict(sorted(assigned.items()))

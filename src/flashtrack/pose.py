@@ -456,18 +456,6 @@ def _correspondences(points, pixels) -> tuple[np.ndarray, np.ndarray]:
     return points, pixels
 
 
-def resolve_scale(map_points, pair: tuple[int, int], known_distance: float) -> np.ndarray:
-    """Scale an up-to-scale map so one reconstructed pair matches a tape measure."""
-    pts = np.asarray(map_points, dtype=float).reshape(-1, 3)
-    i, j = pair
-    if i == j:
-        raise ValueError("pair indices must differ")
-    d = float(np.linalg.norm(pts[i] - pts[j]))
-    if d <= 0:
-        raise ValueError("reconstructed pair is coincident")
-    return pts * (known_distance / d)
-
-
 def rotation_angle(r: np.ndarray) -> float:
     """Geodesic angle of a rotation matrix, radians."""
     c = (np.trace(r) - 1.0) / 2.0

@@ -17,14 +17,17 @@ fix (none after a frame without one). The report records per-flasher
 lock-on and error events, per-frame detections and pose errors against
 ground truth, and summary statistics.
 
-`run` first takes each frame's shared-timeline instant in one scalar
-pass over the heartbeat pulses, keeping one snapshot of the clocks per
-epoch between pulses, and every frame's true camera pose from one
-batched `interpolate_poses`. A frame's flashers are projected in one
-`pose.project_points` call, as one stack of (1, 3) rows each times R^T.
-That is the product `pose.project` takes for one flasher; the plain
-(m, 3) @ R^T product runs another BLAS kernel, which can round the last
-bit differently and so would move pixels, and with them every report.
+`run` keeps two clocks, the tracker's and one stacked `ClockModel` of
+every flasher's, each realigned once per heartbeat pulse. It first takes
+each frame's shared-timeline instant and both clocks as they stand then
+in one scalar pass over the pulses, and every frame's true camera pose
+from one batched `interpolate_poses`. A frame reads every flasher's
+local time at its image row's instant in one array call, and projects
+its flashers in one `pose.project_points` call, as one stack of (1, 3)
+rows each times R^T. That is the product `pose.project` takes for one
+flasher; the plain (m, 3) @ R^T product runs another BLAS kernel, which
+can round the last bit differently and so would move pixels, and with
+them every report.
 
 Detections are synthesized directly at the projected flash pixels
 (plus configured pixel noise) rather than rasterized into frames; each
@@ -46,7 +49,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -396,51 +399,37 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     """Play a scenario frame by frame; deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
 
-    # identifier assignment: explicit ids win, the rest greedy by distance
-    taken = {f.identifier for f in config.flashers if f.identifier is not None}
-    auto = [f.position for f in config.flashers if f.identifier is None]
-    free = set(range(1, len(config.book) + 1)) - taken
-    picks = iter(codec.assign_ids(auto, config.visibility_radius_m, config.book, free).values())
-    # assigned identifiers stay local: the caller's config is left as given
-    identifiers = [next(picks) if f.identifier is None else f.identifier for f in config.flashers]
-
-    emitters = [
-        channel.EmitterState(
-            config.book.word(ident), f.bit_period_s, channel.ClockModel(f.clock_ppm)
-        )
-        for f, ident in zip(config.flashers, identifiers)
-    ]
+    # explicit ids are kept, the rest greedy by distance; assigned
+    # identifiers stay local: the caller's config is left as given
+    identifiers = list(codec.assign_ids(
+        [f.position for f in config.flashers], config.visibility_radius_m, config.book,
+        [f.identifier for f in config.flashers]).values())
+    emitters = [channel.EmitterState(config.book.word(ident), f.bit_period_s)
+                for f, ident in zip(config.flashers, identifiers)]
     scheme = config.flashers[0].scheme if config.flashers else "hue"
     bitizer = signal.BITIZERS[scheme]
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
     n_frames = _frame_count(config.duration_s, config.sensor.fps)
 
-    # frame instants first: heartbeat pulses realign every clock's offset on
-    # the shared timeline, and each frame that saw one opens an epoch holding
-    # one snapshot of the clocks: the tracker's, the emitters' and every
-    # unit's as one stacked clock
+    # frame instants first: a heartbeat pulse realigns every clock's offset on
+    # the shared timeline, so each frame notes both clocks as they stand
     tracker_clock = channel.ClockModel(config.camera_clock_ppm)
-    epoch = None  # (tracker clock, emitters, every unit's clock stacked)
-    instants: list[tuple[float, tuple]] = []  # (shared_base, epoch) per frame
+    flasher_clock = channel.ClockModel(np.array([f.clock_ppm for f in config.flashers]))
+    instants = []  # (shared_base, tracker clock, flasher clock) per frame
     heartbeats: list[dict] = []
     next_pulse = 0.0 if config.heartbeat_enabled else math.inf
     for frame in range(n_frames):
         shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
-        if shared_base >= next_pulse or epoch is None:
-            while shared_base >= next_pulse:
-                tracker_clock = channel.apply_heartbeat(tracker_clock, next_pulse)
-                emitters = [replace(em, clock=channel.apply_heartbeat(em.clock, next_pulse))
-                            for em in emitters]
-                heartbeats.extend({"t_s": next_pulse, "unit": f"flasher{k}"}
-                                  for k in range(len(emitters)))
-                heartbeats.append({"t_s": next_pulse, "unit": "tracker"})
-                next_pulse += config.heartbeat_period_s
-            clocks = [tracker_clock] + [em.clock for em in emitters]
-            epoch = (tracker_clock, emitters, channel.ClockModel(
-                np.array([c.rate_ppm for c in clocks]), np.array([c.offset for c in clocks])))
-        instants.append((shared_base, epoch))
-    truth_rot, truth_trans = interpolate_poses(config.trajectory, [b for b, _ in instants])
+        while shared_base >= next_pulse:
+            tracker_clock = channel.apply_heartbeat(tracker_clock, next_pulse)
+            flasher_clock = channel.apply_heartbeat(flasher_clock, next_pulse)
+            heartbeats.extend({"t_s": next_pulse, "unit": f"flasher{k}"}
+                              for k in range(len(emitters)))
+            heartbeats.append({"t_s": next_pulse, "unit": "tracker"})
+            next_pulse += config.heartbeat_period_s
+        instants.append((shared_base, tracker_clock, flasher_clock))
+    truth_rot, truth_trans = interpolate_poses(config.trajectory, [b for b, _, _ in instants])
 
     tracks: list[signal.SampleTrace] = []
     track_states: dict[int, _TrackState] = {}
@@ -453,9 +442,11 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     # each frame's correspondences, or None below four, solved after the loop
     correspondences: list[tuple[np.ndarray, np.ndarray] | None] = []
 
-    for frame, (shared_base, (tracker_clock, emitters, units)) in enumerate(instants):
-        locals_now = units.local_time(shared_base)
-        max_desync = max(max_desync, float(locals_now.max() - locals_now.min()))
+    for frame, (shared_base, tracker_clock, flasher_clock) in enumerate(instants):
+        tracker_now = tracker_clock.local_time(shared_base)
+        flashers_now = flasher_clock.local_time(shared_base)
+        max_desync = max(max_desync, float(
+            flashers_now.max(initial=tracker_now) - flashers_now.min(initial=tracker_now)))
 
         # synthesize one detection per visible flasher, all projected at once;
         # every unit takes every pulse, so an emitter that missed its pulses
@@ -465,15 +456,18 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 tracker_clock, shared_base, config.heartbeat_timeout_s)):
             pixels, depth = pose_mod.project_points(
                 config.intrinsics, truth_rot[frame], truth_trans[frame], positions)
+            rows, cols = pixels.T
             seen = depth > 0
             if size is not None:
-                rows, cols = pixels.T
                 seen &= (0 <= rows) & (rows < size[0]) & (0 <= cols) & (cols < size[1])
+            # a behind-camera row is meaningless, and may be inf or nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                taus = flasher_clock.local_time(
+                    channel.sample_time(config.sensor, tracker_clock, frame, rows)).tolist()
             for k in np.flatnonzero(seen).tolist():
                 row, col = pixels[k].tolist()
                 fs = flasher_states[k]
-                shared_t = channel.sample_time(config.sensor, tracker_clock, frame, row)
-                index, fs.bit = emitters[k].bit_at(shared_t)
+                index, fs.bit = emitters[k].bit_at_local(taus[k])
                 fs.indices.append(index)
                 intensity, hue = channel.render_sample(
                     fs.bit, scheme, rng, config.intensity_sigma, config.hue_sigma

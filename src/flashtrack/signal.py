@@ -73,10 +73,13 @@ def _circular_distance(a: float, b: float) -> float:
 def classify_hue(hues) -> list[int]:
     """1 when a hue sits closer to the red reference than the blue one.
 
-    The midpoint (120 degrees either way) ties toward 0.
+    The midpoint (120 degrees either way) ties toward 0. Raises ValueError
+    on a hue that is not finite.
     """
     out = []
     for h in hues:
+        if not math.isfinite(h):
+            raise ValueError(f"hue must be finite, got {h!r}")
         out.append(
             1 if _circular_distance(h, HUE_HIGH_DEG) < _circular_distance(h, HUE_LOW_DEG) else 0
         )

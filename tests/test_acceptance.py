@@ -371,10 +371,10 @@ def test_criterion_08_sensor_drift_signatures(criterion):
         word = book.word(1)
 
         # global shutter, tracker clock 5% slow: one duplicate per 20 samples
-        emitter = EmitterState(word, bit_period=1.0, clock=ClockModel())
+        emitter = EmitterState(word, bit_period=1.0)
         ccd = SensorTiming(kind="ccd", fps=1.0, exposure_mid=0.5)
         samples = sample_stream(
-            emitter, ccd, ClockModel(rate_ppm=-50000.0), lambda f: 0, 400.0
+            emitter, ClockModel(), ccd, ClockModel(rate_ppm=-50000.0), lambda f: 0, 400.0
         )
         indices = [s[1] for s in samples]
         ins, dels = count_drift_events(indices)
@@ -400,9 +400,9 @@ def test_criterion_08_sensor_drift_signatures(criterion):
         rows_up = list(reversed(rows_down))
         sweeps = {}
         for label, rows in (("down", rows_down), ("up", rows_up)):
-            emitter = EmitterState(word, bit_period=bit_period, clock=ClockModel())
+            emitter = EmitterState(word, bit_period=bit_period)
             samples = sample_stream(
-                emitter, cmos, ClockModel(), lambda f: rows[f], 9.5 / 30.0
+                emitter, ClockModel(), cmos, ClockModel(), lambda f: rows[f], 9.5 / 30.0
             )
             sweeps[label] = count_drift_events([s[1] for s in samples])
         if sweeps["down"] != (0, 1) or sweeps["up"] != (1, 0):

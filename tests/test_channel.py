@@ -93,7 +93,7 @@ class TestHeartbeat:
 class TestEmitterState:
     def test_bit_lookup_wraps_cyclically(self):
         word = BitWord.from_string("0111")
-        em = EmitterState(word, bit_period=0.5, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period=0.5)
         assert em.bit_at_local(0.0) == (0, 0)
         assert em.bit_at_local(0.74) == (1, 1)
         assert em.bit_at_local(2.1) == (4, 0)
@@ -102,7 +102,7 @@ class TestEmitterState:
     def test_bit_at_local_reads_the_word_bits(self, text):
         word = BitWord.from_string(text)
         n = word.n
-        em = EmitterState(word, bit_period=1.0, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period=1.0)
         for i in range(-2 * n, 2 * n + 1):
             assert em.bit_at_local(i + 0.5) == (i, word.bits[i % n])
 
@@ -129,19 +129,19 @@ class TestSampleStream:
 
     def test_nominal_clocks_sample_each_bit_once(self):
         word = BitWord.from_string("01100111")
-        em = EmitterState(word, bit_period=1 / 30.0, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period=1 / 30.0)
         timing = SensorTiming("ccd", fps=30.0, exposure_mid=0.5 / 30.0)
-        samples = sample_stream(em, timing, ClockModel(0.0), self.flat_row, 1.0)
+        samples = sample_stream(em, ClockModel(0.0), timing, ClockModel(0.0), self.flat_row, 1.0)
         indices = [s[1] for s in samples]
         assert indices == list(range(len(indices)))
 
     def test_slow_tracker_duplicates_once_per_twenty(self):
         """A 5 percent slower tracker revisits one bit per 20 samples."""
         word = BitWord.from_string("011001110101")
-        em = EmitterState(word, bit_period=1 / 30.0, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period=1 / 30.0)
         timing = SensorTiming("ccd", fps=30.0, exposure_mid=0.5 / 30.0)
         samples = sample_stream(
-            em, timing, ClockModel(rate_ppm=-50000.0), self.flat_row, 101 / 30.0
+            em, ClockModel(0.0), timing, ClockModel(rate_ppm=-50000.0), self.flat_row, 101 / 30.0
         )
         indices = [s[1] for s in samples]
         ins, dels = count_drift_events(indices)
@@ -155,10 +155,10 @@ class TestSampleStream:
 
     def test_fast_tracker_skips_once_per_twenty(self):
         word = BitWord.from_string("011001110101")
-        em = EmitterState(word, bit_period=1 / 30.0, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period=1 / 30.0)
         timing = SensorTiming("ccd", fps=30.0, exposure_mid=0.5 / 30.0)
         samples = sample_stream(
-            em, timing, ClockModel(rate_ppm=50000.0), self.flat_row, 101 / 30.0
+            em, ClockModel(0.0), timing, ClockModel(rate_ppm=50000.0), self.flat_row, 101 / 30.0
         )
         ins, dels = count_drift_events([s[1] for s in samples])
         assert ins == 0 and dels >= 4
@@ -166,7 +166,7 @@ class TestSampleStream:
     def test_cmos_row_sweep_down_deletes_one_bit(self):
         word = BitWord.from_string("0110011101011001")
         bit_period = 1 / 30.0
-        em = EmitterState(word, bit_period, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period)
         timing = SensorTiming(
             "cmos",
             fps=30.0,
@@ -176,7 +176,7 @@ class TestSampleStream:
         )
         rows = np.linspace(0, 9, 10)  # top-to-bottom over 10 frames
         samples = sample_stream(
-            em, timing, ClockModel(0.0), lambda f: float(rows[f]), 9.5 / 30.0
+            em, ClockModel(0.0), timing, ClockModel(0.0), lambda f: float(rows[f]), 9.5 / 30.0
         )
         ins, dels = count_drift_events([s[1] for s in samples])
         assert (ins, dels) == (0, 1)
@@ -184,7 +184,7 @@ class TestSampleStream:
     def test_cmos_row_sweep_up_inserts_one_bit(self):
         word = BitWord.from_string("0110011101011001")
         bit_period = 1 / 30.0
-        em = EmitterState(word, bit_period, clock=ClockModel(0.0))
+        em = EmitterState(word, bit_period)
         timing = SensorTiming(
             "cmos",
             fps=30.0,
@@ -194,7 +194,7 @@ class TestSampleStream:
         )
         rows = np.linspace(9, 0, 10)
         samples = sample_stream(
-            em, timing, ClockModel(0.0), lambda f: float(rows[f]), 9.5 / 30.0
+            em, ClockModel(0.0), timing, ClockModel(0.0), lambda f: float(rows[f]), 9.5 / 30.0
         )
         ins, dels = count_drift_events([s[1] for s in samples])
         assert (ins, dels) == (1, 0)
@@ -215,7 +215,8 @@ class TestSampleTime:
 
     def test_sample_stream_is_sample_time_then_bit_at(self):
         word = BitWord.from_string("0110011101011001")
-        em = EmitterState(word, bit_period=1 / 30.0, clock=ClockModel(rate_ppm=-3000.0))
+        em = EmitterState(word, bit_period=1 / 30.0)
+        clock = ClockModel(rate_ppm=-3000.0)
         timing = SensorTiming(
             "cmos", fps=30.0, rows=480, row_readout=0.8 / (30.0 * 480), exposure_mid=0.004
         )
@@ -224,11 +225,11 @@ class TestSampleTime:
         def row_of(frame):
             return (37.0 * frame) % 480
 
-        samples = sample_stream(em, timing, tracker, row_of, 3.0)
+        samples = sample_stream(em, clock, timing, tracker, row_of, 3.0)
         assert len(samples) == 91
         for frame, got in enumerate(samples):
             shared = sample_time(timing, tracker, frame, row_of(frame))
-            assert got == (shared, *em.bit_at(shared))
+            assert got == (shared, *em.bit_at_local(clock.local_time(shared)))
 
 
 class TestCountDriftEvents:

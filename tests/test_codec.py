@@ -365,51 +365,41 @@ def dp_indel_distance(a, b) -> int:
     return len(a) + len(b) - 2 * prev[-1]
 
 
-bit_lists = st.lists(st.integers(0, 1), max_size=24)
+bit_words = st.text(alphabet="01", min_size=1, max_size=24).map(BitWord.from_string)
+short_words = bit_strings.map(BitWord.from_string)
+w = BitWord.from_string
 
 
 class TestIndelDistance:
-    @given(bit_lists, bit_lists)
+    @given(bit_words, bit_words)
     @settings(max_examples=500)
     def test_matches_dynamic_program_on_bit_sequences(self, a, b):
-        assert indel_distance(a, b) == dp_indel_distance(a, b)
-
-    @given(st.lists(st.integers(0, 3), max_size=16), st.lists(st.integers(0, 3), max_size=16))
-    def test_matches_dynamic_program_on_wider_alphabet(self, a, b):
-        assert indel_distance(a, b) == dp_indel_distance(a, b)
-
-    @given(bit_strings, bit_strings)
-    def test_matches_dynamic_program_on_bitwords_and_strings(self, a, b):
-        want = dp_indel_distance([int(c) for c in a], [int(c) for c in b])
-        wa, wb = BitWord.from_string(a), BitWord.from_string(b)
-        assert indel_distance(wa, wb) == want
-        assert indel_distance(a, wb) == want
-        assert indel_distance(wa, b) == want
+        assert indel_distance(a, b) == dp_indel_distance(a.bits, b.bits)
 
     def test_identity(self):
-        assert indel_distance("0110", "0110") == 0
+        assert indel_distance(w("0110"), w("0110")) == 0
 
     def test_single_deletion_costs_one(self):
-        assert indel_distance("0110", "010") == 1
+        assert indel_distance(w("0110"), w("010")) == 1
 
     def test_flip_costs_two(self):
-        assert indel_distance("0110", "0100") == 2
+        assert indel_distance(w("0110"), w("0100")) == 2
 
     def test_accepts_bitwords(self):
         a, b = BitWord.from_string("0111"), BitWord.from_string("0011")
         assert indel_distance(a, b) == 2
 
-    @given(bit_strings, bit_strings)
+    @given(short_words, short_words)
     def test_symmetry(self, a, b):
         assert indel_distance(a, b) == indel_distance(b, a)
 
-    @given(bit_strings, bit_strings)
+    @given(short_words, short_words)
     def test_bounds(self, a, b):
         d = indel_distance(a, b)
-        assert 0 <= d <= len(a) + len(b)
+        assert 0 <= d <= a.n + b.n
         assert (d == 0) == (a == b)
 
-    @given(bit_strings, bit_strings, bit_strings)
+    @given(short_words, short_words, short_words)
     @settings(max_examples=300)
     def test_triangle_inequality(self, a, b, c):
         assert indel_distance(a, c) <= indel_distance(a, b) + indel_distance(b, c)
@@ -444,25 +434,45 @@ class TestAssignIds:
 
     @pytest.mark.parametrize("radius", [math.inf, 1.2, 0.5])
     def test_candidates_never_leave_the_pool(self, robust_books, radius):
+        """Explicit ids stay put and auto flashers draw only from the rest."""
         book, _ = robust_books[12]
-        pool = {3, 4, 6, 8}
-        ids = assign_ids(self.CUBE[:4], radius, book, candidates=pool)
-        assert set(ids.values()) == pool
-        assert ids[0] == 3
+        explicit = [None, 2, None, 5, None, None, 1, None]
+        ids = assign_ids(self.CUBE, radius, book, explicit)
+        assert [ids[i] for i in (1, 3, 6)] == [2, 5, 1]
+        auto = [ids[i] for i, ident in enumerate(explicit) if ident is None]
+        assert len(set(auto)) == len(auto)
+        assert not set(auto) & {1, 2, 5}
+
+    def test_explicit_ids_count_as_neighbours(self, robust_books):
+        """An explicit id 1 keeps an auto neighbour 0.1 m away off the codes
+        near it, as an auto flasher holding 1 does."""
+        book, _ = robust_books[12]
+        layout = [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)]
+        assert assign_ids(layout, 1.0, book) == {0: 1, 1: 8}
+        assert assign_ids(layout, 1.0, book, [1, None]) == {0: 1, 1: 8}
+        assert indel_distance(book.word(1), book.word(8)) == 16
 
     # flashers 0 and 3 of the cube hold explicit ids 5 and 2; the six others
-    # are spread over the rest of the n = 13 robust book (12 words). The
-    # expected ids are what the scenario's own pool assignment gave before
-    # it was folded into assign_ids.
+    # are spread over the rest of the n = 13 robust book (12 words), keeping
+    # their codes far from 5 and 2 too wherever those are within the radius
     @pytest.mark.parametrize(
-        "radius,want", [(math.inf, [1, 12, 7, 3, 4, 6]), (1.2, [1, 3, 4, 11, 6, 8])]
+        "radius,want",
+        [(math.inf, [5, 12, 4, 2, 7, 1, 3, 6]), (1.2, [5, 12, 11, 2, 4, 1, 3, 9])],
     )
     def test_candidates_match_mixed_explicit_and_auto_cube(self, radius, want):
         book, _ = generate_robust_codebook(13)
-        auto = [p for i, p in enumerate(self.CUBE) if i not in (0, 3)]
-        pool = set(range(1, len(book) + 1)) - {5, 2}
-        ids = assign_ids(auto, radius, book, candidates=pool)
-        assert [ids[i] for i in range(len(auto))] == want
+        explicit = [5, None, None, 2, None, None, None, None]
+        ids = assign_ids(self.CUBE, radius, book, explicit)
+        assert [ids[i] for i in range(len(self.CUBE))] == want
+        # each auto pick is the greedy rule's over everything held before it
+        for i, ident in enumerate(explicit):
+            if ident is None:
+                held = [want[j] for j in range(len(want)) if explicit[j] or j < i]
+                near = [want[j] for j in range(len(want)) if (explicit[j] or j < i)
+                        and math.dist(self.CUBE[i], self.CUBE[j]) <= radius]
+                free = set(range(1, len(book) + 1)) - set(held)
+                assert want[i] == max(free, key=lambda c: (min(
+                    (indel_distance(book.word(c), book.word(o)) for o in near), default=0), -c))
 
     def test_each_pair_distance_computed_once(self, initial_books, monkeypatch):
         """A seeded 24-point layout: same picks as the per-pair loop, one
@@ -492,6 +502,6 @@ class TestAssignIds:
         assert 0 < len(calls) <= len(pairs)
 
     def test_pool_smaller_than_flashers_rejected(self, robust_books):
-        book, _ = robust_books[12]
-        with pytest.raises(ValueError, match="2 code-words"):
-            assign_ids(self.CUBE[:3], 10.0, book, candidates=[7, 2])
+        book, _ = robust_books[12]  # 8 words, 6 of them held explicitly
+        with pytest.raises(ValueError, match="3 flashers but only 2 code-words"):
+            assign_ids(self.CUBE + [(2, 0, 0)], 10.0, book, [1, 3, 4, 5, 6, 8, None, None, None])

@@ -15,7 +15,6 @@ from flashtrack.pose import (
     project_points,
     reprojection_jacobian,
     reprojection_residuals,
-    resolve_scale,
     rotation_angle,
     solve_pnp,
 )
@@ -394,18 +393,6 @@ class TestJacobian:
 
 
 class TestHelpers:
-    def test_resolve_scale(self):
-        pts = cube_points() * 3.0  # reconstructed map, wrong scale
-        fixed = resolve_scale(pts, pair=(0, 1), known_distance=1.0)
-        assert np.linalg.norm(fixed[0] - fixed[1]) == pytest.approx(1.0)
-        # shape preserved up to the one global factor
-        assert np.allclose(fixed, pts / 3.0)
-
-    def test_resolve_scale_rejects_coincident_pair(self):
-        pts = np.zeros((2, 3))
-        with pytest.raises(ValueError):
-            resolve_scale(pts, pair=(0, 1), known_distance=1.0)
-
     def test_rotation_angle(self):
         assert rotation_angle(np.eye(3)) == pytest.approx(0.0)
         assert rotation_angle(exp_so3([0.3, 0, 0])) == pytest.approx(0.3)

@@ -556,6 +556,18 @@ class TestScenarioConfig:
         assert report.per_flasher[0]["identifier"] == 5
         assert len({fl["identifier"] for fl in report.per_flasher}) == 8
 
+    @pytest.mark.parametrize("first", [1, "auto"])
+    def test_explicit_ids_count_as_neighbours(self, first):
+        """An auto flasher 0.1 m from an explicit id 1 takes the code an auto
+        neighbour there would leave it: 8, 16 indels from 1, not 2 at 4."""
+        raw = cube_config()
+        raw["flashers"] = raw["flashers"][:2]
+        raw["flashers"][0].update(id=first, position_m=[0.0, 0.0, 0.0])
+        raw["flashers"][1]["position_m"] = [0.1, 0.0, 0.0]
+        raw["visibility_radius_m"] = 1.0
+        report = run(ScenarioConfig.from_dict(raw))
+        assert [fl["identifier"] for fl in report.per_flasher] == [1, 8]
+
 
 class TestTrajectoryInterpolation:
     def test_clamps_outside_knots(self):

@@ -1,5 +1,6 @@
 """Photometry to bits: hue/intensity classification, blobs, tracking."""
 
+import math
 import time
 
 import numpy as np
@@ -42,6 +43,13 @@ class TestClassifyHue:
         blue = (rng.normal(240.0, 15.0, n)) % 360.0
         errs = classify_hue(red).count(0) + classify_hue(blue).count(1)
         assert errs / (2 * n) < 1e-3
+
+    @pytest.mark.parametrize("hue", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hue_refused(self, hue):
+        with pytest.raises(ValueError, match="finite"):
+            classify_hue([5.0, hue])
+        with pytest.raises(ValueError, match="finite"):
+            HueBitizer().push(hue)
 
 
 class TestClassifyIntensity:
