@@ -169,9 +169,6 @@ class LookupTable:
         self.mode = mode
         self.entries = entries
         self.slots = memoryview(entries)
-        # n-bit and (n+1)-bit window masks, taken once for the decoder step
-        self._word_mask = (1 << n) - 1
-        self._window_mask = (2 << n) - 1
 
     def __reduce__(self):
         # a memoryview does not pickle; rebuild the view from the entries

@@ -20,10 +20,13 @@ within n+2 bits. The lock is the state's identifier: 0 until the rule
 fires, then the voted identifier for good; a new stream takes a fresh
 decoder.
 
-Every sampled bit of every tracked beacon passes through push_bit, so
-the step is kept lean: the state is an immutable named tuple, a fresh
-snapshot per bit, and lookups read `LookupTable.slots`, a zero-copy
-view of the table whose items are plain ints.
+The rule lives once, in `StreamDecoder.push`; `push_bit` steps a bare
+state through it. Every sampled bit of every tracked beacon passes
+through that method, so it is kept lean: a decoder takes its table's
+constants once (n, the `LookupTable.slots` view, the n-bit and (n+1)-bit
+masks, the robust flag, the lock run), each push returns a fresh
+immutable snapshot, and lookups read `slots` live, a zero-copy view of
+the table's entries whose items are plain ints.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ LOCK_RUN = {"initial": 1, "robust": 3}
 
 
 class DecodeState(NamedTuple):
-    """Streaming decoder state; advance with push_bit, one bit per sample.
+    """Streaming decoder state; advance with StreamDecoder.push, one bit per sample.
 
     identifier is the lock: 0 until the lock rule fires, then the locked
     identifier for good. vote is this step's merged table vote (0 =
@@ -58,49 +61,73 @@ class DecodeState(NamedTuple):
         return self.identifier != 0
 
 
-def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
-    """Feed one bit; returns the successor state."""
-    identifier, consumed, run, last, window = state
-    n, slots = lut.n, lut.slots
-    window = ((window << 1) | (bit & 1)) & lut._window_mask
-    consumed += 1
-
-    vote = 0
-    if consumed >= n:
-        vote = slots[window & lut._word_mask]
-        if consumed > n and lut.mode == "robust":
-            longer = slots[window]
-            if longer != vote:
-                # a lone nonzero lookup votes; two different ones cancel
-                vote = 0 if vote and longer else vote or longer
-
-    if not vote:
-        run = 0
-    elif vote == last:
-        run += 1
-    else:
-        run = 1
-
-    # a nonzero vote implies at least n bits consumed
-    if not identifier and vote and run >= LOCK_RUN[lut.mode]:
-        identifier = vote
-    return DecodeState(identifier, consumed, run, vote, window)
+# builds a DecodeState without the named tuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 
 class StreamDecoder:
-    """Mutable wrapper around DecodeState for one tracked flash point."""
+    """Decoder for one tracked flash point: the one copy of the lock rule.
+
+    Takes the table's constants once: n, the live `lut.slots` view (an
+    edit to `lut.entries` shows in the next vote), the n-bit and
+    (n+1)-bit window masks, whether the table is robust, and
+    LOCK_RUN[lut.mode]. state is the latest DecodeState; each push
+    stores and returns a new snapshot.
+    """
+
+    __slots__ = ("lut", "state", "_n", "_slots", "_word_mask", "_window_mask", "_robust", "_lock_run")
 
     def __init__(self, lut: LookupTable):
+        n = lut.n
         self.lut = lut
         self.state = DecodeState()
+        self._n = n
+        self._slots = lut.slots
+        self._word_mask = (1 << n) - 1
+        self._window_mask = (2 << n) - 1
+        self._robust = lut.mode == "robust"
+        self._lock_run = LOCK_RUN[lut.mode]
 
     def push(self, bit: int) -> DecodeState:
-        self.state = push_bit(self.state, self.lut, bit)
-        return self.state
+        """Feed one bit; stores and returns the successor state."""
+        identifier, consumed, run, last, window = self.state
+        window = ((window << 1) | (bit & 1)) & self._window_mask
+        consumed += 1
+
+        vote = 0
+        if consumed >= self._n:
+            slots = self._slots
+            vote = slots[window & self._word_mask]
+            if self._robust and consumed > self._n:
+                longer = slots[window]
+                if longer != vote:
+                    # a lone nonzero lookup votes; two different ones cancel
+                    vote = 0 if vote and longer else vote or longer
+
+        if vote:
+            run = run + 1 if vote == last else 1
+            # a nonzero vote implies at least n bits consumed
+            if not identifier and run >= self._lock_run:
+                identifier = vote
+        else:
+            run = 0
+        self.state = state = _new_tuple(DecodeState, (identifier, consumed, run, vote, window))
+        return state
 
     @property
     def identifier(self) -> int:
         return self.state.identifier
+
+
+def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
+    """Feed one bit to a bare state; returns the successor state.
+
+    Pushes once through a decoder on lut set to state, so the rule is
+    `StreamDecoder.push`'s; a whole stream is cheaper through one decoder.
+    """
+    decoder = StreamDecoder(lut)
+    decoder.state = state
+    return decoder.push(bit)
 
 
 def _check_lock_on_inputs(n: int, fps: float) -> None:

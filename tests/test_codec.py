@@ -81,12 +81,19 @@ def reference_push_bit(state: ReferenceState, lut, bit: int) -> ReferenceState:
 
 
 def assert_matches_reference(lut, bits) -> list:
-    """Step push_bit and the reference side by side; every field must agree."""
+    """Step push_bit, one StreamDecoder and the reference side by side.
+
+    Every field of every state must agree; push_bit starts each step
+    from a bare state, the decoder carries its own across the stream.
+    """
     state, ref, states = DecodeState(), ReferenceState(), []
+    decoder = StreamDecoder(lut)
     for b in bits:
         state, ref = push_bit(state, lut, b), reference_push_bit(ref, lut, b)
+        pushed = decoder.push(b)
         assert tuple(state) == dataclasses.astuple(ref)[1:], (lut.n, lut.mode, bits)
-        assert state.locked == ref.locked
+        assert pushed == state and type(pushed) is DecodeState, (lut.n, lut.mode, bits)
+        assert state.locked == ref.locked == pushed.locked
         states.append(state)
     return states
 
@@ -240,6 +247,34 @@ class TestMatchesReference:
                             and short and longer and short != longer
                         )
         assert votes and cancels and locked, (votes, cancels, locked)
+
+
+class TestLongWordLocks:
+    """The lock-sweep single-error family beyond criterion 04's n <= 12."""
+
+    @pytest.mark.parametrize(
+        "n, want_streams, want_bits", [(13, 6084, 91311), (14, 8820, 141161)]
+    )
+    def test_every_single_error_stream_locks_its_own_identifier(self, n, want_streams, want_bits):
+        # every word and phase, four clean cycles, one flip, duplication or
+        # deletion at stream position n+pos, pushed until the decoder locks
+        book, lut = generate_robust_codebook(n)
+        streams = pushed = 0
+        wrong = []
+        for ident in range(1, len(book) + 1):
+            word = book.word(ident).bits
+            for phase, kind, pos in itertools.product(range(n), ERRORS, range(n)):
+                bits = corrupt([word[(phase + i) % n] for i in range(4 * n)], kind, n + pos)
+                decoder = StreamDecoder(lut)
+                for b in bits:
+                    pushed += 1
+                    if decoder.push(b).locked:
+                        break
+                streams += 1
+                if decoder.identifier != ident:
+                    wrong.append((ident, phase, kind, pos, decoder.identifier))
+        assert wrong == []
+        assert (streams, pushed) == (want_streams, want_bits)
 
 
 class TestDecoderState:
