@@ -16,6 +16,13 @@ which code bit was lit. Rate mismatch or row crossing makes the
 effective sampling period deviate from the bit period, which shows up as
 occasional duplicated or skipped bit indices: exactly the single
 insertion/deletion errors the robust code-book absorbs.
+
+The sampling and rendering steps take arrays as well as scalars, each
+element bitwise its scalar call: `ClockModel.local_time` reads many clocks
+or one clock stacked over frames, `sample_time` a column of frames through
+such a stack, `EmitterState.bit_at_local` many instants, and
+`render_flashes` a block of flashes with one noise draw. A simulation
+senses whole runs of frames this way.
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ SENSOR_KINDS = ("cmos", "ccd")
 class ClockModel:
     """Affine local clock: rate error in ppm plus a resettable offset.
 
-    rate_ppm and offset may be arrays of many clocks alike; local_time
-    then reads every one of them at once.
+    rate_ppm, offset and last_heartbeat may be arrays: of many clocks
+    alike, or of one clock as it stood at each of many frames. local_time
+    then reads every one of them at once, broadcasting t against them,
+    each element bitwise the scalar reading.
     """
 
     rate_ppm: float = 0.0
@@ -74,10 +83,15 @@ class EmitterState:
     bit_period: float
 
     def bit_at_local(self, tau: float) -> tuple[int, int]:
-        """(bit index, bit value) lit at flasher-local time tau."""
-        index = math.floor(tau / self.bit_period)
+        """(bit index, bit value) lit at flasher-local time tau.
+
+        For an array of finite taus, arrays alike: the indices as floats,
+        whole numbers exact at any magnitude, and the bits as ints.
+        """
+        index = np.floor(np.divide(tau, self.bit_period))
         n = self.word.n
-        return index, (self.word.value >> (n - 1 - index % n)) & 1
+        bit = (self.word.value >> (n - 1 - (index % n).astype(int))) & 1
+        return (int(index), int(bit)) if index.ndim == 0 else (index, bit)
 
 
 def sync_interval(delta_max: float, rho_max_ppm: float) -> float:
@@ -106,7 +120,10 @@ def apply_heartbeat(clock: ClockModel, true_time: float) -> ClockModel:
 
 
 def heartbeat_expired(clock: ClockModel, true_time: float, timeout: float) -> bool:
-    """Emitters sleep when no pulse arrived within timeout."""
+    """Emitters sleep when no pulse arrived within timeout.
+
+    For a clock stacked over frames, whether each frame's emitters sleep.
+    """
     if clock.last_heartbeat is None:
         return True
     return true_time - clock.last_heartbeat > timeout
@@ -118,12 +135,14 @@ def sample_time(
     """Shared-timeline instant at which one frame exposes one image row.
 
     The exposure is scheduled on the tracker clock; a rolling shutter
-    delays each row (or array of rows) by its readout time, a global
-    shutter ignores row.
+    delays each row by its readout time, a global shutter ignores row.
+    frame, row and the tracker clock broadcast: a (F, 1) column of frames
+    read through a clock stacked over those frames, with rows (F, K),
+    gives every frame's instant of every row.
     """
     schedule = frame * (1.0 / sensor.fps) + sensor.exposure_mid
     if sensor.kind == "cmos":
-        schedule += row * sensor.row_readout
+        schedule = schedule + row * sensor.row_readout
     return tracker_clock.local_time(schedule)
 
 
@@ -156,19 +175,59 @@ def sample_stream(
 
 
 def count_drift_events(indices) -> tuple[int, int]:
-    """(insertions, deletions) implied by a sampled bit-index sequence."""
-    insertions = deletions = 0
-    for prev, cur in zip(indices, indices[1:]):
-        step = cur - prev
-        if step == 0:
-            insertions += 1
-        elif step > 1:
-            deletions += step - 1
-    return insertions, deletions
+    """(insertions, deletions) implied by a sampled bit-index sequence.
+
+    Each repeated index is an insertion, each index skipped a deletion.
+    """
+    steps = np.diff(np.asarray(indices))
+    return int((steps == 0).sum()), int((steps[steps > 1] - 1).sum())
 
 
 DEFAULT_HIGH = 100.0
 DEFAULT_LOW = 20.0
+
+
+def render_flashes(
+    bits,
+    scheme: str,
+    rng: np.random.Generator,
+    intensity_sigma: float = 0.0,
+    hue_sigma: float = 0.0,
+    pixel_sigma: float = 0.0,
+    pixels=None,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(intensities, hues, pixels) of a block of flashes showing bits (V,).
+
+    Intensity scheme: each bit's level times scale plus Gaussian level
+    noise, at hue 0. Hue scheme: red or blue reference hue plus Gaussian
+    hue noise, at the high level times scale. pixels (V, 2), (0, 0) when
+    None, move by Gaussian pixel noise in row and col. The noise is one
+    rng.normal draw of shape (V, d) over the d nonzero sigmas, flash by
+    flash in the order level or hue, row, col; numpy draws it bitwise as
+    the same sequence of scalar rng.normal(0.0, sigma) calls. A zero sigma
+    draws nothing.
+    """
+    if scheme not in ("intensity", "hue"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    bits = np.asarray(bits)
+    pixels = np.zeros((len(bits), 2)) if pixels is None else np.asarray(pixels, dtype=float)
+    sigma = intensity_sigma if scheme == "intensity" else hue_sigma
+    sigmas = [s for s in (sigma, pixel_sigma, pixel_sigma) if s]
+    noise = iter(rng.normal(0.0, sigmas, (len(bits), len(sigmas))).T if sigmas else ())
+    if scheme == "intensity":
+        levels = np.where(bits, DEFAULT_HIGH, DEFAULT_LOW) * scale
+        hues = np.zeros(len(bits))
+        if sigma:
+            levels = levels + next(noise)
+    else:
+        levels = np.full(len(bits), DEFAULT_HIGH * scale)
+        hues = np.where(bits, HUE_HIGH_DEG, HUE_LOW_DEG)
+        if sigma:
+            hues = (hues + next(noise)) % 360.0
+    if pixel_sigma:
+        pixels = pixels + np.stack([next(noise), next(noise)], axis=-1)
+    return levels, hues, pixels
 
 
 def render_sample(
@@ -179,24 +238,9 @@ def render_sample(
     hue_sigma: float = 0.0,
     scale: float = 1.0,
 ) -> tuple[float, float]:
-    """(intensity, hue) of one flash showing bit.
-
-    Intensity scheme: the bit's level times scale plus Gaussian level
-    noise, at hue 0. Hue scheme: red or blue reference hue plus Gaussian
-    hue noise, at the high level times scale. Noise is drawn from rng
-    only when its sigma is nonzero.
-    """
-    if scheme == "intensity":
-        level = (DEFAULT_HIGH if bit else DEFAULT_LOW) * scale
-        if intensity_sigma:
-            level += rng.normal(0.0, intensity_sigma)
-        return level, 0.0
-    if scheme != "hue":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    hue = HUE_HIGH_DEG if bit else HUE_LOW_DEG
-    if hue_sigma:
-        hue += rng.normal(0.0, hue_sigma)
-    return DEFAULT_HIGH * scale, hue % 360.0
+    """(intensity, hue) of one flash showing bit: render_flashes of one."""
+    levels, hues, _ = render_flashes([bit], scheme, rng, intensity_sigma, hue_sigma, scale=scale)
+    return float(levels[0]), float(hues[0])
 
 
 def render_samples(
@@ -210,14 +254,17 @@ def render_samples(
 ) -> SampleTrace:
     """Turn (time, bit) pairs into photometric samples.
 
-    Each sample is render_sample with levels scaled by inverse square
-    distance, at pixel (0, 0) of trace 0.
+    The samples are render_flashes of the bits, with levels scaled by
+    inverse square distance, at pixel (0, 0) of trace 0.
     """
     if distance <= 0:
         raise ValueError("distance must be positive")
     scale = 1.0 / (distance * distance)
+    pairs = list(bits)
+    times = [t for t, _ in pairs]
+    levels, hues, _ = render_flashes(
+        [bit for _, bit in pairs], scheme, rng, intensity_sigma, hue_sigma, scale=scale)
     trace = SampleTrace(0)
-    for t, bit in bits:
-        level, hue = render_sample(bit, scheme, rng, intensity_sigma, hue_sigma, scale)
+    for t, level, hue in zip(times, levels.tolist(), hues.tolist()):
         trace.append(FlashSample(t, level, hue, (0.0, 0.0)))
     return trace

@@ -160,15 +160,18 @@ def _nearest_rotation(m: np.ndarray) -> np.ndarray:
 
 def project_points(K: CameraIntrinsics, rotation, translation, points
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Pixels (m, 2) and camera depths (m,) of world points (m, 3).
+    """Pixels (..., m, 2) and camera depths (..., m) of world points (m, 3).
 
-    rotation and translation are a pose's arrays. Each point goes through
-    the pose as its own (1, 3) row of a stack (m, 1, 3), the product
-    project takes for one point, so every pixel is bitwise project's. A
-    pixel at nonpositive depth means nothing.
+    rotation (..., 3, 3) and translation (..., 3) are a pose's arrays, or
+    a stack of poses'. Each point goes through each pose as its own (1, 3)
+    row of a stack (..., m, 1, 3), the product project takes for one
+    point, so every pixel is bitwise project's. A pixel at nonpositive
+    depth means nothing.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 1, 3)
-    x, y, z = (points @ rotation.T + translation)[:, 0].T
+    rotation, translation = np.asarray(rotation), np.asarray(translation)
+    cam = points @ rotation.swapaxes(-1, -2)[..., None, :, :] + translation[..., None, None, :]
+    x, y, z = np.moveaxis(cam[..., 0, :], -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.stack([K.fy * y / z + K.cy, K.fx * x / z + K.cx], axis=-1), z
 
@@ -457,14 +460,30 @@ def _correspondences(points, pixels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rotation_angle(r: np.ndarray) -> float:
-    """Geodesic angle of a rotation matrix, radians."""
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    """Geodesic angle of a rotation matrix, radians; an array for a stack (..., 3, 3)."""
+    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    angle = np.arccos(np.clip(c, -1.0, 1.0))
+    return float(angle) if angle.ndim == 0 else angle
+
+
+def pose_errors(est_rot, est_trans, truth_rot, truth_trans) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation errors rad, translation errors m) of each pair of two pose stacks.
+
+    Rotations are (P, 3, 3) and translations (P, 3).
+
+    The translation norm is the square root of a dot product, as
+    np.linalg.norm takes of one vector, so each pair's errors are bitwise
+    what it gives alone.
+    """
+    d = est_trans - truth_trans
+    return (
+        rotation_angle(est_rot @ truth_rot.swapaxes(-1, -2)),
+        np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]),
+    )
 
 
 def pose_error(estimate: Pose, truth: Pose) -> tuple[float, float]:
-    """(rotation error rad, translation error m) between two poses."""
-    return (
-        rotation_angle(estimate.rotation @ truth.rotation.T),
-        float(np.linalg.norm(estimate.translation - truth.translation)),
-    )
+    """(rotation error rad, translation error m) between two poses: pose_errors of one pair."""
+    r_err, t_err = pose_errors(estimate.rotation[None], estimate.translation[None],
+                               truth.rotation[None], truth.translation[None])
+    return float(r_err[0]), float(t_err[0])

@@ -6,34 +6,42 @@ heartbeat settings, noise levels, and the code-book to use; `FIELDS`
 holds every key with its type, bounds and default. `from_dict` checks a
 file against it, then across fields, naming every fault a stage finds in
 one ConfigError, and only then builds the code-book. `run` trusts the config
-it is handed and composes the library per frame: `channel` samples and
-renders each flash bit through the drifting clocks, `signal` tracks the
-detections and classifies them back into bits, `codec` assigns and
-decodes the identifiers. After the last frame, one `pose.solve_pnp_frames`
-call recovers the camera from the flasher map for every frame with four
-or more identified flashers: frames of six or more as batched stacks,
-frames of four or five in order, each started from the previous frame's
-fix (none after a frame without one). The report records per-flasher
-lock-on and error events, per-frame detections and pose errors against
-ground truth, and summary statistics.
+it is handed. It senses the frames in chunks of at most `pose.FRAME_CHUNK`,
+each as array passes through `channel`: the flash bits sampled through the
+drifting clocks, and their rendering. Then, frame by frame, it does only
+the causal work: `signal` tracks the detections and classifies them back
+into bits, and `codec` decodes the identifiers. After the last frame, one
+`pose.solve_pnp_frames` call recovers the camera from the flasher map for
+every frame with four or more identified flashers: frames of six or more as
+batched stacks, frames of four or five in order, each started from the
+previous frame's fix (none after a frame without one). One `pose.pose_errors`
+pass per chunk scores the fixes against ground truth. The report records
+per-flasher lock-on and error events, per-frame detections and pose errors,
+and summary statistics.
 
-`run` keeps two clocks, the tracker's and one stacked `ClockModel` of
-every flasher's, each realigned once per heartbeat pulse. It first takes
-each frame's shared-timeline instant and both clocks as they stand then
-in one scalar pass over the pulses, and every frame's true camera pose
-from one batched `interpolate_poses`. A frame reads every flasher's
-local time at its image row's instant in one array call, and projects
-its flashers in one `pose.project_points` call, as one stack of (1, 3)
-rows each times R^T. That is the product `pose.project` takes for one
-flasher; the plain (m, 3) @ R^T product runs another BLAS kernel, which
-can round the last bit differently and so would move pixels, and with
-them every report.
+`run` keeps two clocks, the tracker's and one stacked `ClockModel` of every
+flasher's, each realigned once per heartbeat pulse. A chunk reads each
+frame's shared-timeline instant off the tracker clock, one array call per
+run of frames between pulses; a frame whose instant is due for a pulse
+takes it, and samples through the realigned clocks. Each clock is then
+stacked over the chunk's frames, holding each frame's offset, so one call
+reads every flasher's local time at every frame's image-row instant. The
+true camera poses come from one batched `interpolate_poses`, and the
+projections from one `pose.project_points` call, as stacks of (1, 3) rows
+each times R^T. That is the product `pose.project` takes for one flasher;
+the plain (m, 3) @ R^T product runs another BLAS kernel, which can round
+the last bit differently and so would move pixels, and with them every
+report. Every flasher is projected at every frame, behind the camera and
+while asleep too; the frames where it is seen are kept.
 
-Detections are synthesized directly at the projected flash pixels
-(plus configured pixel noise) rather than rasterized into frames; each
-carries its flasher's index, so ground truth follows the flasher even
-where two share a pixel. One seed drives all randomness, so a rerun of
-the same config is byte-identical.
+Detections are synthesized directly at the projected flash pixels (plus
+configured pixel noise) rather than rasterized into frames; each carries
+its flasher's index, so ground truth follows the flasher even where two
+share a pixel. `EmitterState.bit_at_local` runs once per flasher and chunk,
+on the frames that see it, and `channel.render_flashes` renders a chunk's
+sightings in one block, frame by frame and flasher by flasher: the order in
+which scalar draws would be made, so the chunk size moves no report. One
+seed drives all randomness, so a rerun of the same config is byte-identical.
 
 A flasher is counted as identified at its track's first nonzero decode
 vote, which for a clean stream happens exactly one code cycle after
@@ -50,7 +58,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -361,8 +369,9 @@ class _TrackState:
 class _FlasherState:
     """Ground truth and outcome of one flasher over a run."""
 
-    indices: list[int] = field(default_factory=list)  # bit index per sighting
-    bit: int = 0  # bit lit at the latest sighting
+    last_index: np.ndarray = field(default_factory=lambda: np.empty(0))  # latest sighting's
+    insertions: int = 0
+    deletions: int = 0
     flips: int = 0
     votes: int = 0
     votes_ok: int = 0
@@ -395,6 +404,120 @@ def _rms(values: list[float]) -> float | None:
     return math.sqrt(sum(v * v for v in values) / len(values)) if values else None
 
 
+class _Chunk(NamedTuple):
+    """What the camera senses over a run of frames, before any tracking."""
+
+    times: list[float]  # each frame's shared-timeline instant
+    rot: np.ndarray  # (F, 3, 3) and (F, 3): the true camera pose at each instant
+    trans: np.ndarray
+    indices: list[np.ndarray]  # per flasher, the bit index at each sighting
+    bits: list[list[int]]  # (F, K) bit each flasher shows; read where seen
+    detections: list[list[signal.Detection]]  # per frame, sorted by pixel
+    desync: float  # widest clock spread at any frame instant
+
+
+def _frame_clocks(config: ScenarioConfig, heartbeats: list[dict]):
+    """(frames, instants, tracker clock, flasher clock) of each chunk of frames.
+
+    A frame's instant is read off the tracker clock as it stands, one
+    array call per run of frames between pulses. The pulses due by then
+    realign every clock's offset on the shared timeline, and the frame
+    samples through the realigned clocks. Each clock comes stacked over the
+    chunk's frames: the tracker's holding a (F, 1) column of offsets and
+    last pulses, the flashers' a (F, K) block of offsets. Pulses fired are
+    appended to heartbeats.
+    """
+    n_frames = _frame_count(config.duration_s, config.sensor.fps)
+    n_flashers = len(config.flashers)
+    tracker = channel.ClockModel(config.camera_clock_ppm)
+    flashers = channel.ClockModel(np.array([f.clock_ppm for f in config.flashers]))
+    next_pulse = 0.0 if config.heartbeat_enabled else math.inf
+    for lo in range(0, n_frames, pose_mod.FRAME_CHUNK):
+        frames = np.arange(lo, min(lo + pose_mod.FRAME_CHUNK, n_frames))
+        base, offset, last_pulse = np.full((3, len(frames)), math.nan)
+        flasher_offset = np.empty((len(frames), n_flashers))
+
+        def hold(span):  # the clocks as they stand, for the frames of span
+            offset[span], flasher_offset[span] = tracker.offset, flashers.offset
+            if tracker.last_heartbeat is not None:
+                last_pulse[span] = tracker.last_heartbeat
+
+        start = 0
+        while start < len(frames):
+            base[start:] = channel.sample_time(config.sensor, tracker, frames[start:])
+            due = np.flatnonzero(base[start:] >= next_pulse)
+            stop = start + int(due[0]) if due.size else len(frames)
+            hold(slice(start, stop))
+            if stop < len(frames):
+                while base[stop] >= next_pulse:
+                    tracker = channel.apply_heartbeat(tracker, next_pulse)
+                    flashers = channel.apply_heartbeat(flashers, next_pulse)
+                    heartbeats.extend({"t_s": next_pulse, "unit": f"flasher{k}"}
+                                      for k in range(n_flashers))
+                    heartbeats.append({"t_s": next_pulse, "unit": "tracker"})
+                    next_pulse += config.heartbeat_period_s
+                hold(slice(stop, stop + 1))
+            start = stop + 1
+        yield (frames, base,
+               channel.ClockModel(tracker.rate_ppm, offset[:, None], last_pulse[:, None]),
+               channel.ClockModel(flashers.rate_ppm, flasher_offset))
+
+
+def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState],
+           rng: np.random.Generator, heartbeats: list[dict]) -> Iterator[_Chunk]:
+    """The run's frames as sensed, in chunks of at most FRAME_CHUNK frames.
+
+    Each chunk is array passes over its frames: the clocks as they stand at
+    each frame, the true poses, the projections, the rolling-shutter
+    instants, the bits lit then and their rendering. Pulses fired are
+    appended to heartbeats.
+    """
+    positions = np.array([f.position for f in config.flashers], dtype=float).reshape(-1, 3)
+    scheme = config.flashers[0].scheme if config.flashers else "hue"
+    size = config.intrinsics.image_size
+    for frames, base, tracker_at, flashers_at in _frame_clocks(config, heartbeats):
+        column = base[:, None]
+        spread = np.concatenate(
+            [tracker_at.local_time(column), flashers_at.local_time(column)], axis=1)
+
+        # every unit takes every pulse, so an emitter that missed its pulses
+        # sleeps when the tracker's last pulse is too old
+        awake = np.ones((len(frames), 1), dtype=bool)
+        if config.heartbeat_enabled:
+            awake = ~channel.heartbeat_expired(tracker_at, column, config.heartbeat_timeout_s)
+        rot, trans = interpolate_poses(config.trajectory, base)
+        pixels, depth = pose_mod.project_points(config.intrinsics, rot, trans, positions)
+        rows, cols = pixels[..., 0], pixels[..., 1]
+        seen = awake & (depth > 0)
+        if size is not None:
+            seen &= (0 <= rows) & (rows < size[0]) & (0 <= cols) & (cols < size[1])
+        # a behind-camera row is meaningless, and may be inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            taus = flashers_at.local_time(
+                channel.sample_time(config.sensor, tracker_at, frames[:, None], rows))
+        index = np.zeros(seen.shape)
+        bits = np.zeros(seen.shape, dtype=int)
+        for k, emitter in enumerate(emitters):
+            at = seen[:, k]
+            index[at, k], bits[at, k] = emitter.bit_at_local(taus[at, k])
+
+        # one detection per sighting at its flash pixel, frame by frame
+        # sorted by pixel, each flasher's rng draws in sighting order
+        frame_of, source = np.nonzero(seen)
+        levels, hues, pixel = channel.render_flashes(
+            bits[frame_of, source], scheme, rng, config.intensity_sigma, config.hue_sigma,
+            config.pixel_sigma, pixels[frame_of, source])
+        order = np.lexsort((pixel[:, 1], pixel[:, 0], frame_of))
+        detections = list(map(signal.Detection, map(tuple, pixel[order].tolist()),
+                              levels[order].tolist(), hues[order].tolist(), source[order].tolist()))
+        ends = np.cumsum(np.bincount(frame_of, minlength=len(frames))).tolist()
+        yield _Chunk(
+            base.tolist(), rot, trans, [index[seen[:, k], k] for k in range(len(emitters))],
+            bits.tolist(), [detections[a:b] for a, b in zip([0] + ends, ends)],
+            float((spread.max(axis=1) - spread.min(axis=1)).max()),
+        )
+
+
 def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     """Play a scenario frame by frame; deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
@@ -410,151 +533,111 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     bitizer = signal.BITIZERS[scheme]
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
-    n_frames = _frame_count(config.duration_s, config.sensor.fps)
-
-    # frame instants first: a heartbeat pulse realigns every clock's offset on
-    # the shared timeline, so each frame notes both clocks as they stand
-    tracker_clock = channel.ClockModel(config.camera_clock_ppm)
-    flasher_clock = channel.ClockModel(np.array([f.clock_ppm for f in config.flashers]))
-    instants = []  # (shared_base, tracker clock, flasher clock) per frame
-    heartbeats: list[dict] = []
-    next_pulse = 0.0 if config.heartbeat_enabled else math.inf
-    for frame in range(n_frames):
-        shared_base = channel.sample_time(config.sensor, tracker_clock, frame)
-        while shared_base >= next_pulse:
-            tracker_clock = channel.apply_heartbeat(tracker_clock, next_pulse)
-            flasher_clock = channel.apply_heartbeat(flasher_clock, next_pulse)
-            heartbeats.extend({"t_s": next_pulse, "unit": f"flasher{k}"}
-                              for k in range(len(emitters)))
-            heartbeats.append({"t_s": next_pulse, "unit": "tracker"})
-            next_pulse += config.heartbeat_period_s
-        instants.append((shared_base, tracker_clock, flasher_clock))
-    truth_rot, truth_trans = interpolate_poses(config.trajectory, [b for b, _, _ in instants])
-
     tracks: list[signal.SampleTrace] = []
     track_states: dict[int, _TrackState] = {}
     flasher_states = [_FlasherState() for _ in config.flashers]
-    positions = np.array([f.position for f in config.flashers], dtype=float).reshape(-1, 3)
-    size = config.intrinsics.image_size
-
+    heartbeats: list[dict] = []
     per_frame: list[dict] = []
+    truths: list[tuple[np.ndarray, np.ndarray]] = []  # each chunk's true poses
     max_desync = 0.0
     # each frame's correspondences, or None below four, solved after the loop
     correspondences: list[tuple[np.ndarray, np.ndarray] | None] = []
 
-    for frame, (shared_base, tracker_clock, flasher_clock) in enumerate(instants):
-        tracker_now = tracker_clock.local_time(shared_base)
-        flashers_now = flasher_clock.local_time(shared_base)
-        max_desync = max(max_desync, float(
-            flashers_now.max(initial=tracker_now) - flashers_now.min(initial=tracker_now)))
+    for chunk in _sense(config, emitters, rng, heartbeats):
+        max_desync = max(max_desync, chunk.desync)
+        truths.append((chunk.rot, chunk.trans))
+        for fs, index in zip(flasher_states, chunk.indices):
+            sightings = np.concatenate([fs.last_index, index])
+            insertions, deletions = channel.count_drift_events(sightings)
+            fs.insertions, fs.deletions = fs.insertions + insertions, fs.deletions + deletions
+            fs.last_index = sightings[-1:]
 
-        # synthesize one detection per visible flasher, all projected at once;
-        # every unit takes every pulse, so an emitter that missed its pulses
-        # sleeps when the tracker's last pulse is too old
-        detections: list[signal.Detection] = []
-        if not (config.heartbeat_enabled and channel.heartbeat_expired(
-                tracker_clock, shared_base, config.heartbeat_timeout_s)):
-            pixels, depth = pose_mod.project_points(
-                config.intrinsics, truth_rot[frame], truth_trans[frame], positions)
-            rows, cols = pixels.T
-            seen = depth > 0
-            if size is not None:
-                seen &= (0 <= rows) & (rows < size[0]) & (0 <= cols) & (cols < size[1])
-            # a behind-camera row is meaningless, and may be inf or nan
-            with np.errstate(over="ignore", invalid="ignore"):
-                taus = flasher_clock.local_time(
-                    channel.sample_time(config.sensor, tracker_clock, frame, rows)).tolist()
-            for k in np.flatnonzero(seen).tolist():
-                row, col = pixels[k].tolist()
-                fs = flasher_states[k]
-                index, fs.bit = emitters[k].bit_at_local(taus[k])
-                fs.indices.append(index)
-                intensity, hue = channel.render_sample(
-                    fs.bit, scheme, rng, config.intensity_sigma, config.hue_sigma
-                )
-                pixel = (row, col)
-                if config.pixel_sigma:
-                    pixel = (
-                        row + rng.normal(0.0, config.pixel_sigma),
-                        col + rng.normal(0.0, config.pixel_sigma),
-                    )
-                detections.append(signal.Detection(pixel, intensity, hue, source=k))
+        for shared_base, bits, detections in zip(chunk.times, chunk.bits, chunk.detections):
+            frame = len(per_frame)
+            tracks = signal.associate(tracks, detections, config.gating_radius_px, shared_base)
+            # a closed track's id can be handed to a new track later, so its
+            # decoder state goes with it
+            open_ids = {tr.track_id for tr in tracks}
+            track_states = {tid: st for tid, st in track_states.items() if tid in open_ids}
 
-        detections.sort(key=lambda d: d.pixel)
-        tracks = signal.associate(tracks, detections, config.gating_radius_px, shared_base)
-        # a closed track's id can be handed to a new track later, so its
-        # decoder state goes with it
-        open_ids = {tr.track_id for tr in tracks}
-        track_states = {tid: st for tid, st in track_states.items() if tid in open_ids}
+            # advance decoders on tracks that got a sample this frame
+            frame_ids: dict[int, tuple[float, float]] = {}
+            for tr in tracks:
+                if not tr.samples or tr.samples[-1].t != shared_base:
+                    continue
+                st = track_states.get(tr.track_id)
+                if st is None:
+                    st = _TrackState(bitizer(config.book.n), codec.StreamDecoder(config.lut))
+                    track_states[tr.track_id] = st
+                sample = tr.samples[-1]
+                fs = flasher_states[sample.source]
+                st.truth_bits.append(bits[sample.source])
+                emitted = st.bitizer.push(getattr(sample, scheme))
+                # a backlog flush labels the last len(emitted) samples, so
+                # flips are judged against the matching tail of channel bits
+                truth_tail = list(st.truth_bits)[-len(emitted):] if emitted else []
+                for bit, true_bit in zip(emitted, truth_tail):
+                    fs.flips += bit != true_bit
+                    state = st.decoder.push(bit)
+                    if state.vote:
+                        fs.votes += 1
+                        fs.votes_ok += state.vote == identifiers[sample.source]
+                        if not st.voted and fs.lock_on_frame is None:
+                            fs.lock_on_frame, fs.lock_on_time_s = frame, shared_base
+                            fs.identifier_decoded = state.vote
+                        st.voted = True
+                    if state.locked:
+                        fs.locked_identifier = state.identifier
+                ident = st.decoder.identifier or st.decoder.state.vote
+                if ident:
+                    frame_ids[ident] = sample.pixel
 
-        # advance decoders on tracks that got a sample this frame
-        frame_ids: dict[int, tuple[float, float]] = {}
-        for tr in tracks:
-            if not tr.samples or tr.samples[-1].t != shared_base:
-                continue
-            st = track_states.get(tr.track_id)
-            if st is None:
-                st = _TrackState(bitizer(config.book.n), codec.StreamDecoder(config.lut))
-                track_states[tr.track_id] = st
-            sample = tr.samples[-1]
-            fs = flasher_states[sample.source]
-            st.truth_bits.append(fs.bit)
-            emitted = st.bitizer.push(getattr(sample, scheme))
-            # a backlog flush labels the last len(emitted) samples, so
-            # flips are judged against the matching tail of channel bits
-            truth_tail = list(st.truth_bits)[-len(emitted):] if emitted else []
-            for bit, true_bit in zip(emitted, truth_tail):
-                fs.flips += bit != true_bit
-                state = st.decoder.push(bit)
-                if state.vote:
-                    fs.votes += 1
-                    fs.votes_ok += state.vote == identifiers[sample.source]
-                    if not st.voted and fs.lock_on_frame is None:
-                        fs.lock_on_frame, fs.lock_on_time_s = frame, shared_base
-                        fs.identifier_decoded = state.vote
-                    st.voted = True
-                if state.locked:
-                    fs.locked_identifier = state.identifier
-            ident = st.decoder.identifier or st.decoder.state.vote
-            if ident:
-                frame_ids[ident] = sample.pixel
-
-        # pose from identified flashers with known map positions
-        frame_entry: dict = {
-            "frame": frame,
-            "t_s": shared_base,
-            "detections": len(detections),
-            "identified": sorted(frame_ids),
-        }
-        usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
-        correspondences.append(
-            (np.array([u[0] for u in usable]), np.array([u[1] for u in usable]))
-            if len(usable) >= 4 else None
-        )
-        if debug_truth:
-            frame_entry["truth_pose"] = {
-                "rotation": truth_rot[frame].ravel().tolist(),
-                "translation_m": truth_trans[frame].tolist(),
+            # pose from identified flashers with known map positions
+            frame_entry: dict = {
+                "frame": frame,
+                "t_s": shared_base,
+                "detections": len(detections),
+                "identified": sorted(frame_ids),
             }
-        per_frame.append(frame_entry)
+            usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
+            correspondences.append(
+                (np.array([u[0] for u in usable]), np.array([u[1] for u in usable]))
+                if len(usable) >= 4 else None
+            )
+            per_frame.append(frame_entry)
 
+    # each chunk's fixes scored against its true poses in one stacked pass
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)
-    for frame_entry, problem, est, rot, trans in zip(
-            per_frame, correspondences, fixes, truth_rot, truth_trans):
-        r_err, t_err = (None, None) if est is None else pose_mod.pose_error(est, Pose(rot, trans))
-        frame_entry.update(
-            pose=None if est is None else {
-                "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
-                "translation_m": [round(v, 15) for v in est.translation.tolist()],
-            },
-            degenerate=problem is not None and est is None,
-            rotation_error_rad=r_err,
-            translation_error_m=t_err,
-        )
+    lo = 0
+    for rot, trans in truths:
+        span = slice(lo, lo + len(rot))
+        chunk = list(zip(per_frame[span], correspondences[span], fixes[span]))
+        posed = [f for f, (_, _, est) in enumerate(chunk) if est is not None]
+        rad, metres = pose_mod.pose_errors(
+            np.array([chunk[f][2].rotation for f in posed]).reshape(-1, 3, 3),
+            np.array([chunk[f][2].translation for f in posed]).reshape(-1, 3),
+            rot[posed], trans[posed])
+        errors = dict(zip(posed, zip(rad.tolist(), metres.tolist())))
+        for f, (frame_entry, problem, est) in enumerate(chunk):
+            r_err, t_err = errors.get(f, (None, None))
+            frame_entry.update(
+                pose=None if est is None else {
+                    "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
+                    "translation_m": [round(v, 15) for v in est.translation.tolist()],
+                },
+                degenerate=problem is not None and est is None,
+                rotation_error_rad=r_err,
+                translation_error_m=t_err,
+            )
+            if debug_truth:
+                frame_entry["truth_pose"] = {
+                    "rotation": rot[f].ravel().tolist(),
+                    "translation_m": trans[f].tolist(),
+                }
+        lo += len(rot)
 
     per_flasher = []
     for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):
-        insertions, deletions = channel.count_drift_events(fs.indices)
         per_flasher.append(
             {
                 "flasher": k,
@@ -565,15 +648,15 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 "identifier_decoded": fs.identifier_decoded,
                 "locked_identifier": fs.locked_identifier,
                 "id_accuracy": (fs.votes_ok / fs.votes) if fs.votes else None,
-                "insertions": insertions,
-                "deletions": deletions,
+                "insertions": fs.insertions,
+                "deletions": fs.deletions,
                 "flips": fs.flips,
             }
         )
 
     posed = [f for f in per_frame if f["pose"] is not None]
     summary = {
-        "frames": n_frames,
+        "frames": len(per_frame),
         "pose_rmse_m": _rms([f["translation_error_m"] for f in posed]),
         "pose_rmse_rad": _rms([f["rotation_error_rad"] for f in posed]),
         "max_desync_s": max_desync,

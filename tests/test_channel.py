@@ -16,6 +16,7 @@ from flashtrack.channel import (
     apply_heartbeat,
     count_drift_events,
     heartbeat_expired,
+    render_flashes,
     render_sample,
     render_samples,
     sample_stream,
@@ -105,6 +106,24 @@ class TestEmitterState:
         em = EmitterState(word, bit_period=1.0)
         for i in range(-2 * n, 2 * n + 1):
             assert em.bit_at_local(i + 0.5) == (i, word.bits[i % n])
+
+
+    @pytest.mark.parametrize("text", ["0111", "0010111", "000011011101"])
+    def test_array_taus_are_each_scalar_call(self, text):
+        em = EmitterState(BitWord.from_string(text), bit_period=1 / 30.0)
+        taus = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 7))
+        taus[0, :3] = [0.0, 1 / 30.0, -1 / 30.0]
+        index, bits = em.bit_at_local(taus)
+        assert index.shape == bits.shape == taus.shape
+        for tau, i, b in zip(taus.ravel().tolist(), index.ravel().tolist(), bits.ravel().tolist()):
+            assert (i, b) == em.bit_at_local(tau)
+
+    def test_array_index_exact_past_int64(self):
+        em = EmitterState(BitWord.from_string("0010111"), bit_period=1e-9)
+        tau = 1e15
+        (index,), (bit,) = em.bit_at_local(np.array([tau]))
+        assert index == em.bit_at_local(tau)[0] == int(tau / 1e-9)
+        assert bit == em.bit_at_local(tau)[1]
 
 
 class TestSensorTiming:
@@ -213,6 +232,30 @@ class TestSampleTime:
         tracker = ClockModel(rate_ppm=-80.0)
         assert sample_time(timing, tracker, 5, 300.0) == sample_time(timing, tracker, 5)
 
+    def test_frame_array_is_each_scalar_call(self):
+        timing = SensorTiming("ccd", fps=30.0, exposure_mid=0.01)
+        tracker = ClockModel(rate_ppm=-80.0, offset=0.002)
+        frames = np.arange(40)
+        got = sample_time(timing, tracker, frames)
+        assert got.tolist() == [sample_time(timing, tracker, f) for f in range(40)]
+
+    @pytest.mark.parametrize("kind", ["cmos", "ccd"])
+    def test_stacked_tracker_clock_is_each_scalar_call(self, kind):
+        """A (F, 1) column of frames through a clock holding each frame's
+        offset, with rows (F, K), is every frame's and row's scalar call."""
+        timing = SensorTiming(kind, fps=30.0, rows=480, row_readout=0.8 / (30.0 * 480),
+                              exposure_mid=0.004)
+        rng = np.random.default_rng(8)
+        frames = np.arange(100, 112)
+        offsets, rows = rng.normal(0.0, 1e-3, len(frames)), rng.uniform(0.0, 480.0, (12, 5))
+        stacked = ClockModel(rate_ppm=2500.0, offset=offsets[:, None])
+        # a global shutter's instants are one per frame, broadcast over rows
+        got = np.broadcast_to(sample_time(timing, stacked, frames[:, None], rows), rows.shape)
+        for f, frame in enumerate(frames.tolist()):
+            clock = ClockModel(rate_ppm=2500.0, offset=float(offsets[f]))
+            for k, row in enumerate(rows[f].tolist()):
+                assert got[f, k] == sample_time(timing, clock, frame, row)
+
     def test_sample_stream_is_sample_time_then_bit_at(self):
         word = BitWord.from_string("0110011101011001")
         em = EmitterState(word, bit_period=1 / 30.0)
@@ -311,3 +354,66 @@ class TestRenderSample:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
             render_sample(1, "laser", np.random.default_rng(0))
+
+
+def one_flash_at_a_time(bits, pixels, scheme, rng, level_sigma, pixel_sigma):
+    """render_flashes as scalar draws, flash by flash: level or hue, row, col."""
+    out = []
+    for bit, (row, col) in zip(bits, pixels):
+        if scheme == "intensity":
+            level, hue = DEFAULT_HIGH if bit else DEFAULT_LOW, 0.0
+            if level_sigma:
+                level += rng.normal(0.0, level_sigma)
+        else:
+            level, hue = DEFAULT_HIGH, 0.0 if bit else 240.0
+            if level_sigma:
+                hue = (hue + rng.normal(0.0, level_sigma)) % 360.0
+        if pixel_sigma:
+            row += rng.normal(0.0, pixel_sigma)
+            col += rng.normal(0.0, pixel_sigma)
+        out.append((level, hue, row, col))
+    return out
+
+
+class TestRenderFlashes:
+    @pytest.mark.parametrize("scheme", ["intensity", "hue"])
+    @pytest.mark.parametrize("level_sigma", [0.0, 30.0])
+    @pytest.mark.parametrize("pixel_sigma", [0.0, 0.3])
+    def test_block_draw_is_the_scalar_draws(self, scheme, level_sigma, pixel_sigma):
+        """One (V, d) draw over the nonzero sigmas is, bitwise, the scalar
+        rng.normal(0.0, sigma) calls of each flash in turn, and leaves the
+        generator where they leave it."""
+        bits = np.random.default_rng(2).integers(0, 2, 57)
+        pixels = np.random.default_rng(3).uniform(0.0, 480.0, (57, 2))
+        sigmas = {"intensity_sigma": level_sigma} if scheme == "intensity" else {
+            "hue_sigma": level_sigma}
+        block, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        levels, hues, moved = render_flashes(
+            bits, scheme, block, pixel_sigma=pixel_sigma, pixels=pixels, **sigmas)
+        want = one_flash_at_a_time(bits.tolist(), pixels.tolist(), scheme, scalar,
+                                   level_sigma, pixel_sigma)
+        assert list(zip(levels.tolist(), hues.tolist(), *moved.T.tolist())) == want
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_other_scheme_sigma_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        render_flashes([1, 0, 1], "intensity", rng, hue_sigma=9.0)
+        render_flashes([1, 0, 1], "hue", rng, intensity_sigma=9.0)
+        render_flashes([], "hue", rng, hue_sigma=9.0, pixel_sigma=1.0)
+        assert rng.bit_generator.state == state
+
+    def test_render_sample_is_a_block_of_one(self):
+        rng, one = np.random.default_rng(6), np.random.default_rng(6)
+        levels, hues, _ = render_flashes([1, 0, 0], "hue", rng, hue_sigma=40.0)
+        assert [render_sample(b, "hue", one, hue_sigma=40.0) for b in (1, 0, 0)] == list(
+            zip(levels.tolist(), hues.tolist()))
+
+
+class TestCountDriftEventsArrays:
+    def test_float_indices_count_as_ints(self):
+        got = count_drift_events(np.array([3.0, 4.0, 4.0, 7.0, 8.0]))
+        assert got == (1, 2) and all(type(n) is int for n in got)
+
+    def test_empty_and_single(self):
+        assert count_drift_events([]) == count_drift_events([5]) == (0, 0)

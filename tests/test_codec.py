@@ -179,11 +179,13 @@ class TestPushBit:
 
     def test_conflicting_tables_vote_zero(self, robust_books):
         """The two window lengths must agree or the step abstains."""
-        _, lut = robust_books[4]
-        # craft: last 4 bits say id 1, last 5 bits say unknown-nonzero is
-        # impossible for n=4 single word, so check abstention on unknowns
-        states = drive(lut, "00000")
-        assert all(s.vote == 0 for s in states)
+        _, lut = robust_books[8]
+        window = "100111001"
+        # the last 8 bits look up identifier 1, all 9 identifier 2
+        assert lut.slots[int(window[1:], 2)] == 1
+        assert lut.slots[int(window, 2)] == 2
+        states = drive(lut, window)
+        assert states[-1].vote == 0 and states[-1].agreement_run == 0
 
     @given(bit_strings)
     @settings(max_examples=200)

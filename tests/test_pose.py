@@ -128,6 +128,18 @@ class TestProjection:
                 assert np.array_equal(pixel, [K.fy * y / z + K.cy, K.fx * x / z + K.cx])
         assert behind > 100
 
+    def test_pose_stack_is_each_pose_bitwise(self):
+        """project_points of a stack of poses is project_points of each."""
+        rng = np.random.default_rng(15)
+        rot = exp_so3(rng.normal(0.0, 1.5, (30, 3)))
+        trans = rng.normal(0.0, 2.0, (30, 3))
+        pts = rng.normal(0.0, 3.0, (24, 3))
+        pixels, depth = project_points(K, rot, trans, pts)
+        assert pixels.shape == (30, 24, 2) and depth.shape == (30, 24)
+        for r, t, pixel, z in zip(rot, trans, pixels, depth):
+            want_pixel, want_z = project_points(K, r, t, pts)
+            assert np.array_equal(pixel, want_pixel) and np.array_equal(z, want_z)
+
 
 class TestSolvePnp:
     def test_recovers_pose_from_cube(self):
@@ -403,6 +415,22 @@ class TestHelpers:
         # arccos near the identity amplifies float eps to ~sqrt(eps)
         assert r_err == pytest.approx(0.0, abs=1e-7)
         assert t_err == 0.0
+
+    def test_stacked_pose_errors_are_each_pair_bitwise(self):
+        """pose_errors over stacks gives, pair by pair, the angle of R_est R_true^T
+        and np.linalg.norm of the translation gap, to the bit."""
+        rng = np.random.default_rng(16)
+        truth = exp_so3(rng.normal(0.0, 1.0, (40, 3)))
+        est = exp_so3(rng.normal(0.0, 1e-4, (40, 3))) @ truth
+        truth_t, est_t = rng.normal(0.0, 3.0, (2, 40, 3))
+        est_t[:20] = truth_t[:20] + rng.normal(0.0, 1e-6, (20, 3))
+        rad, metres = pose.pose_errors(est, est_t, truth, truth_t)
+        for i in range(40):
+            c = (np.trace(est[i] @ truth[i].T) - 1.0) / 2.0
+            want = (float(np.arccos(np.clip(c, -1.0, 1.0))),
+                    float(np.linalg.norm(est_t[i] - truth_t[i])))
+            assert (rad[i], metres[i]) == want
+            assert pose_error(Pose(est[i], est_t[i]), Pose(truth[i], truth_t[i])) == want
 
 
 def solve_loop(k, frames):

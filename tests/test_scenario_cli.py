@@ -28,6 +28,8 @@ from flashtrack.scenario import (
 )
 from flashtrack.pose import Pose, exp_so3
 
+import test_golden
+
 
 #: (mode, bits) just outside and just inside each mode's code-book range
 BITS_EDGES = [
@@ -306,6 +308,53 @@ class TestScenarioCube:
             cold = pose_mod.solve_pnp(K, points, pixels)
             assert np.abs(np.array(got["rotation"]) - cold.rotation.ravel()).max() < 1e-9
             assert np.abs(np.array(got["translation_m"]) - cold.translation).max() < 1e-9
+
+    @given(
+        kind=st.sampled_from(["ccd", "cmos"]),
+        scheme=st.sampled_from(["hue", "intensity"]),
+        tracker_ppm=st.floats(-3000.0, 3000.0),
+        flasher_ppm=st.lists(st.floats(-3000.0, 3000.0), min_size=8, max_size=8),
+        heartbeat=st.sampled_from(["off", "no timeout", "timeout"]),
+        period=st.floats(0.05, 0.4),
+        noisy=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_report_independent_of_frame_chunk(self, kind, scheme, tracker_ppm, flasher_ppm,
+                                               heartbeat, period, noisy):
+        """Sensing and scoring in chunks of 1, 7 or FRAME_CHUNK frames give
+        byte-identical reports."""
+        raw = cube_config(tracker_ppm=tracker_ppm, duration=0.8, scheme=scheme)
+        for flasher, ppm in zip(raw["flashers"], flasher_ppm):
+            flasher["clock_ppm"] = ppm
+        if kind == "cmos":
+            raw["camera"]["sensor"] = {"kind": "cmos", "fps": 30.0, "rows": 480,
+                                       "row_readout_s": 0.8 / (30.0 * 480)}
+        turned = exp_so3([0.1, -0.2, 0.3]).ravel().tolist()
+        raw["trajectory"].append(
+            {"t_s": 0.8, "rotation": turned, "translation_m": [0.3, -0.2, 4.5]})
+        if heartbeat != "off":
+            raw["heartbeat"] = {"enabled": True, "period_s": period}
+            if heartbeat == "timeout":
+                raw["heartbeat"]["timeout_s"] = 0.5 * period
+        if noisy:
+            raw["noise"] = {"intensity_sigma": 3.0, "hue_sigma": 20.0, "pixel_sigma": 0.3}
+        config = ScenarioConfig.from_dict(raw)
+        reports = set()
+        for chunk in (1, 7, pose_mod.FRAME_CHUNK):
+            with mock.patch.object(pose_mod, "FRAME_CHUNK", chunk):
+                reports.add(run(config, debug_truth=True).to_json())
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("name", ["cube-asleep", "room-hue"])
+    def test_golden_scene_independent_of_frame_chunk(self, name, chunk, monkeypatch):
+        """run senses and scores frames in chunks of at most pose.FRAME_CHUNK;
+        any chunk size gives the pinned report: cube-asleep has asleep frames
+        and pulses inside chunks, room-hue hue and pixel noise drawn per chunk."""
+        monkeypatch.setattr(pose_mod, "FRAME_CHUNK", chunk)
+        digest, build = test_golden.SCENE_DIGESTS[name]
+        report = run(ScenarioConfig.from_dict(build()), debug_truth=True).to_json()
+        assert test_golden.sha256(report) == digest
 
     def test_report_round_trips_through_json(self):
         report = run(ScenarioConfig.from_dict(cube_config()))
