@@ -369,7 +369,7 @@ class _TrackState:
 class _FlasherState:
     """Ground truth and outcome of one flasher over a run."""
 
-    last_index: np.ndarray = field(default_factory=lambda: np.empty(0))  # latest sighting's
+    last_index: np.ndarray = field(default_factory=lambda: np.empty(0))  # of the last sighting
     insertions: int = 0
     deletions: int = 0
     flips: int = 0
@@ -416,7 +416,7 @@ class _Chunk(NamedTuple):
     desync: float  # widest clock spread at any frame instant
 
 
-def _frame_clocks(config: ScenarioConfig, heartbeats: list[dict]):
+def _frame_clocks(config: ScenarioConfig, heartbeats: list[dict]) -> Iterator[tuple]:
     """(frames, instants, tracker clock, flasher clock) of each chunk of frames.
 
     A frame's instant is read off the tracker clock as it stands, one
@@ -501,8 +501,8 @@ def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState],
             at = seen[:, k]
             index[at, k], bits[at, k] = emitter.bit_at_local(taus[at, k])
 
-        # one detection per sighting at its flash pixel, frame by frame
-        # sorted by pixel, each flasher's rng draws in sighting order
+        # one detection per sighting at its flash pixel, each frame's sorted
+        # by pixel; the noise is drawn frame by frame, flasher by flasher
         frame_of, source = np.nonzero(seen)
         levels, hues, pixel = channel.render_flashes(
             bits[frame_of, source], scheme, rng, config.intensity_sigma, config.hue_sigma,
@@ -549,7 +549,8 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
         for fs, index in zip(flasher_states, chunk.indices):
             sightings = np.concatenate([fs.last_index, index])
             insertions, deletions = channel.count_drift_events(sightings)
-            fs.insertions, fs.deletions = fs.insertions + insertions, fs.deletions + deletions
+            fs.insertions += insertions
+            fs.deletions += deletions
             fs.last_index = sightings[-1:]
 
         for shared_base, bits, detections in zip(chunk.times, chunk.bits, chunk.detections):
