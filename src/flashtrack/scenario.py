@@ -612,14 +612,14 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     lo = 0
     for rot, trans in truths:
         span = slice(lo, lo + len(rot))
-        chunk = list(zip(per_frame[span], correspondences[span], fixes[span]))
-        posed = [f for f, (_, _, est) in enumerate(chunk) if est is not None]
+        entries = list(zip(per_frame[span], correspondences[span], fixes[span]))
+        posed = [f for f, (_, _, est) in enumerate(entries) if est is not None]
         rad, metres = pose_mod.pose_errors(
-            np.array([chunk[f][2].rotation for f in posed]).reshape(-1, 3, 3),
-            np.array([chunk[f][2].translation for f in posed]).reshape(-1, 3),
+            np.array([entries[f][2].rotation for f in posed]).reshape(-1, 3, 3),
+            np.array([entries[f][2].translation for f in posed]).reshape(-1, 3),
             rot[posed], trans[posed])
         errors = dict(zip(posed, zip(rad.tolist(), metres.tolist())))
-        for f, (frame_entry, problem, est) in enumerate(chunk):
+        for f, (frame_entry, problem, est) in enumerate(entries):
             r_err, t_err = errors.get(f, (None, None))
             frame_entry.update(
                 pose=None if est is None else {
