@@ -17,6 +17,8 @@ import sys
 
 from . import channel, codec, scenario, signal
 from .codebook import (
+    MIN_BITS_ROBUST,
+    MODES,
     codebook_from_json,
     codebook_to_json,
     generate_codebook,
@@ -91,7 +93,7 @@ def cmd_codebook_report(args) -> int:
             "necklace_classes": necklace_count(n),
             "initial_size": len(initial),
         }
-        if n >= 4:
+        if n >= MIN_BITS_ROBUST:
             robust, _ = generate_robust_codebook(n)
             entry["robust_size"] = len(robust)
             entry["lockon_s"] = {
@@ -178,7 +180,7 @@ def _build_parser() -> _Parser:
 
     p_gen = book_sub.add_parser("gen", help="generate one code-book as JSON")
     p_gen.add_argument("--bits", type=int, required=True)
-    p_gen.add_argument("--mode", choices=("initial", "robust"), required=True)
+    p_gen.add_argument("--mode", choices=MODES, required=True)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_codebook_gen)
 

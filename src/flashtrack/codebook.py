@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TRIVIAL_MODES = ("initial", "robust")
+MODES = ("initial", "robust")
 
 MIN_BITS_INITIAL = 2
 MIN_BITS_ROBUST = 4
@@ -133,7 +133,7 @@ class Codebook:
     """
 
     def __init__(self, n: int, mode: str, values: list[int]):
-        if mode not in TRIVIAL_MODES:
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.n = n
         self.mode = mode
@@ -330,7 +330,7 @@ def generate_robust_codebook(n: int) -> tuple[Codebook, LookupTable]:
 
 def generate_codebook(n: int, mode: str) -> tuple[Codebook, LookupTable]:
     """The initial or the robust book of n-bit words, by mode."""
-    if mode not in TRIVIAL_MODES:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return generate_robust_codebook(n) if mode == "robust" else generate_initial_codebook(n)
 
@@ -427,7 +427,7 @@ def codebook_from_json(data: dict) -> tuple[Codebook, LookupTable]:
             raise ValueError(
                 f"book key {path} must be {kind.__name__}, got {type(fields[key]).__name__}")
     n, mode, table = data["n"], data["mode"], data["table"]
-    if mode not in TRIVIAL_MODES:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     low = MIN_BITS_ROBUST if mode == "robust" else MIN_BITS_INITIAL
     if type(n) is not int or not low <= n <= MAX_BITS:

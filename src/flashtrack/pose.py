@@ -43,13 +43,6 @@ stack. A singular damped system makes numpy's batched solve raise for the
 whole stack; the stack is then solved seed by seed and only the singular
 seed takes the least-norm (pinv) step, so that one frame's pose never
 depends on which other frames share its batch.
-
-Pixels are (row, col) everywhere: col = fx * x / z + cx and
-row = fy * y / z + cy. project_points projects many points as one stack
-of (1, 3) rows, each times R^T, which is the product project takes for
-one point; the plain (m, 3) @ R^T product runs another BLAS kernel that
-can round the last bit differently, and a simulated frame's pixels must
-stay the ones project gives.
 """
 
 from __future__ import annotations
@@ -85,6 +78,13 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """Pinhole camera, focal lengths and principal point in pixels: the one camera model.
+
+    Pixels are (row, col) everywhere: a camera-frame point (x, y, z) images
+    at col = fx * x / z + cx and row = fy * y / z + cy. image_size is
+    (rows, cols); None leaves the image unbounded.
+    """
+
     fx: float
     fy: float
     cx: float
@@ -94,6 +94,44 @@ class CameraIntrinsics:
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+
+    def pixels(self, cam: np.ndarray) -> np.ndarray:
+        """Pixels (..., 2) of camera-frame points (..., 3); meaningless at z <= 0."""
+        z = cam[..., 2]
+        out = np.empty(cam.shape[:-1] + (2,))
+        out[..., 0] = self.fy * cam[..., 1] / z + self.cy
+        out[..., 1] = self.fx * cam[..., 0] / z + self.cx
+        return out
+
+    def rays(self, pixels: np.ndarray) -> np.ndarray:
+        """Normalised rays (x / z, y / z) (..., 2) of pixels (..., 2): pixels' inverse."""
+        return np.stack([(pixels[..., 1] - self.cx) / self.fx,
+                         (pixels[..., 0] - self.cy) / self.fy], axis=-1)
+
+    def jacobian(self, cam: np.ndarray) -> np.ndarray:
+        """Jacobian (..., 2m, 6) of pixels(cam) over (rotation increment, translation).
+
+        The increment acts in camera frame: Xc' = exp(w) Xc + dt, so
+        dXc/dw = -[Xc]x and dXc/dt = I.
+        """
+        fx, fy = self.fx, self.fy
+        iz = 1.0 / cam[..., 2]
+        u, v = cam[..., 0] * iz, cam[..., 1] * iz
+        jac = np.zeros(cam.shape[:-1] + (2, 6))
+        row, col = jac[..., 0, :], jac[..., 1, :]
+        row[..., 0], row[..., 1], row[..., 2] = -fy * (1.0 + v * v), fy * u * v, fy * u
+        row[..., 4], row[..., 5] = fy * iz, -fy * v * iz
+        col[..., 0], col[..., 1], col[..., 2] = -fx * u * v, fx * (1.0 + u * u), -fx * v
+        col[..., 3], col[..., 5] = fx * iz, -fx * u * iz
+        return jac.reshape(cam.shape[:-2] + (2 * cam.shape[-2], 6))
+
+    def sees(self, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        """Whether each pixel (..., 2) at its depth (...) is in front and inside the image."""
+        seen = depth > 0
+        if self.image_size is not None:
+            (rows, cols), (n_rows, n_cols) = np.moveaxis(pixels, -1, 0), self.image_size
+            seen &= (0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols)
+        return seen
 
 
 @dataclass(frozen=True)
@@ -151,7 +189,16 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def _nearest_rotation(m: np.ndarray) -> np.ndarray:
+def log_so3(r: np.ndarray) -> np.ndarray:
+    """Axis-angle 3-vector of one rotation matrix: exp_so3's inverse below pi."""
+    angle = rotation_angle(r)
+    if angle < 1e-12:
+        return np.zeros(3)
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return w / (2.0 * np.sin(angle)) * angle
+
+
+def nearest_rotation(m: np.ndarray) -> np.ndarray:
     """Closest proper rotation to each 3x3 matrix of a stack (..., 3, 3)."""
     u, _, vt = np.linalg.svd(m)
     u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
@@ -163,17 +210,17 @@ def project_points(K: CameraIntrinsics, rotation, translation, points
     """Pixels (..., m, 2) and camera depths (..., m) of world points (m, 3).
 
     rotation (..., 3, 3) and translation (..., 3) are a pose's arrays, or
-    a stack of poses'. Each point goes through each pose as its own (1, 3)
-    row of a stack (..., m, 1, 3), the product project takes for one
-    point, so every pixel is bitwise project's. A pixel at nonpositive
-    depth means nothing.
+    a stack of poses'. A pixel at nonpositive depth means nothing. Each
+    point goes through each pose as its own (1, 3) row times R^T, because
+    the pinned scenario reports were taken with that product: the plain
+    (m, 3) @ R^T product runs another BLAS kernel, which can round the last
+    bit differently and so would move the pixels of every pinned report.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 1, 3)
     rotation, translation = np.asarray(rotation), np.asarray(translation)
     cam = points @ rotation.swapaxes(-1, -2)[..., None, :, :] + translation[..., None, None, :]
-    x, y, z = np.moveaxis(cam[..., 0, :], -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([K.fy * y / z + K.cy, K.fx * x / z + K.cx], axis=-1), z
+        return K.pixels(cam[..., 0, :]), cam[..., 0, 2]
 
 
 def project(K: CameraIntrinsics, pose: Pose, point) -> tuple[float, float]:
@@ -196,32 +243,6 @@ def _coplanar(points: np.ndarray) -> np.ndarray:
     return sv[..., -1] < COPLANARITY_RTOL * sv[..., 0]
 
 
-def _residuals(K, cam: np.ndarray, pixels) -> np.ndarray:
-    """Stacked (row, col) errors (..., 2m) of camera points (..., m, 3) at pixels (..., m, 2)."""
-    z = cam[..., 2]
-    res = np.empty(cam.shape[:-1] + (2,))
-    res[..., 0] = K.fy * cam[..., 1] / z + K.cy - pixels[..., 0]
-    res[..., 1] = K.fx * cam[..., 0] / z + K.cx - pixels[..., 1]
-    return res.reshape(cam.shape[:-2] + (2 * cam.shape[-2],))
-
-
-def _jacobian(K, cam: np.ndarray) -> np.ndarray:
-    """Jacobian (..., 2m, 6) of _residuals over (rotation increment, translation).
-
-    The increment acts in camera frame: Xc' = exp(w) Xc + dt, so
-    dXc/dw = -[Xc]x and dXc/dt = I.
-    """
-    iz = 1.0 / cam[..., 2]
-    u, v = cam[..., 0] * iz, cam[..., 1] * iz
-    jac = np.zeros(cam.shape[:-1] + (2, 6))
-    row, col = jac[..., 0, :], jac[..., 1, :]
-    row[..., 0], row[..., 1], row[..., 2] = -K.fy * (1.0 + v * v), K.fy * u * v, K.fy * u
-    row[..., 4], row[..., 5] = K.fy * iz, -K.fy * v * iz
-    col[..., 0], col[..., 1], col[..., 2] = -K.fx * u * v, K.fx * (1.0 + u * u), -K.fx * v
-    col[..., 3], col[..., 5] = K.fx * iz, -K.fx * u * iz
-    return jac.reshape(cam.shape[:-2] + (2 * cam.shape[-2], 6))
-
-
 def _camera(rot: np.ndarray, trans: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Camera-frame points (S, m, 3) for a stack of poses (S, 3, 3), (S, 3)."""
     return points @ rot.swapaxes(-1, -2) + trans[:, None, :]
@@ -229,12 +250,12 @@ def _camera(rot: np.ndarray, trans: np.ndarray, points: np.ndarray) -> np.ndarra
 
 def reprojection_residuals(K, pose, points, pixels) -> np.ndarray:
     """Stacked (row, col) reprojection errors in pixels."""
-    return _residuals(K, pose.transform(points), pixels)
+    return (K.pixels(pose.transform(points)) - pixels).reshape(-1)
 
 
 def reprojection_jacobian(K, pose, points) -> np.ndarray:
     """Jacobian of the residuals over (rotation increment, translation)."""
-    return _jacobian(K, pose.transform(points))
+    return K.jacobian(pose.transform(points))
 
 
 def _normal_equations(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +297,9 @@ def _refine_stack(K, rot, trans, points, pixels):
     points = np.broadcast_to(points, (len(rot),) + points.shape[-2:])
     pixels = np.broadcast_to(pixels, (len(rot),) + pixels.shape[-2:])
     cam = _camera(rot, trans, points)
-    res = _residuals(K, cam, pixels)
+    res = (K.pixels(cam) - pixels).reshape(len(cam), -1)
     cost = (res * res).sum(axis=-1)
-    hess, grad = _normal_equations(_jacobian(K, cam), res)
+    hess, grad = _normal_equations(K.jacobian(cam), res)
     idx = np.arange(len(rot))
     lam = np.zeros(len(rot))
     retries = np.zeros(len(rot), dtype=int)
@@ -304,13 +325,13 @@ def _refine_stack(K, rot, trans, points, pixels):
                                   points, pixels)
             )
         dr = exp_so3(delta[:, :3])
-        cand_rot = _nearest_rotation(dr @ rot)
+        cand_rot = nearest_rotation(dr @ rot)
         cand_trans = (dr @ trans[..., None])[..., 0] + delta[:, 3:]
         cam = _camera(cand_rot, cand_trans, points)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            res = _residuals(K, cam, pixels)
+            res = (K.pixels(cam) - pixels).reshape(len(cam), -1)
             cand_cost = (res * res).sum(axis=-1)
-            cand_hess, cand_grad = _normal_equations(_jacobian(K, cam), res)
+            cand_hess, cand_grad = _normal_equations(K.jacobian(cam), res)
         ok = (cam[..., 2] > 0).all(axis=-1) & (cand_cost <= cost)
         rot = np.where(ok[:, None, None], cand_rot, rot)
         trans = np.where(ok[:, None], cand_trans, trans)
@@ -335,8 +356,7 @@ def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
     if not kept.size:
         return poses
     points, pixels = points[kept], pixels[kept]
-    u = (pixels[..., 1] - K.cx) / K.fx
-    v = (pixels[..., 0] - K.cy) / K.fy
+    u, v = np.moveaxis(K.rays(pixels), -1, 0)
     f, m = points.shape[:2]
     a = np.zeros((f, 2 * m, 12))
     hom = np.concatenate([points, np.ones((f, m, 1))], axis=-1)
@@ -354,7 +374,7 @@ def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
     p = p[started] / norm[started, None, None]
     behind = np.median((hom[started] @ p[:, 2, :, None])[..., 0], axis=-1) < 0
     p = np.where(behind[:, None, None], -p, p)
-    rot, trans = _nearest_rotation(p[:, :, :3]), p[:, :, 3]
+    rot, trans = nearest_rotation(p[:, :, :3]), p[:, :, 3]
     kept, points, pixels = kept[started], points[started], pixels[started]
     front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
     rot, trans, _ = _refine_stack(K, rot[front], trans[front], points[front], pixels[front])

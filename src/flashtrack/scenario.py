@@ -15,7 +15,7 @@ into bits, and `codec` decodes the identifiers. After the last frame, one
 every frame with four or more identified flashers: frames of six or more as
 batched stacks, frames of four or five in order, each started from the
 previous frame's fix (none after a frame without one). One `pose.pose_errors`
-pass per chunk scores the fixes against ground truth. The report records
+call scores every fix against ground truth. The report records
 per-flasher lock-on and error events, per-frame detections and pose errors,
 and summary statistics.
 
@@ -26,13 +26,9 @@ run of frames between pulses; a frame whose instant is due for a pulse
 takes it, and samples through the realigned clocks. Each clock is then
 stacked over the chunk's frames, holding each frame's offset, so one call
 reads every flasher's local time at every frame's image-row instant. The
-true camera poses come from one batched `interpolate_poses`, and the
-projections from one `pose.project_points` call, as stacks of (1, 3) rows
-each times R^T. That is the product `pose.project` takes for one flasher;
-the plain (m, 3) @ R^T product runs another BLAS kernel, which can round
-the last bit differently and so would move pixels, and with them every
-report. Every flasher is projected at every frame, behind the camera and
-while asleep too; the frames where it is seen are kept.
+true poses come from one batched `interpolate_poses`, the projections from
+one `pose.project_points` call over every flasher at every frame, behind the
+camera and asleep too, and the sightings from `CameraIntrinsics.sees`.
 
 Detections are synthesized directly at the projected flash pixels (plus
 configured pixel noise) rather than rasterized into frames; each carries
@@ -67,6 +63,7 @@ from .codebook import (
     MAX_BITS,
     MIN_BITS_INITIAL,
     MIN_BITS_ROBUST,
+    MODES,
     Codebook,
     LookupTable,
     generate_codebook,
@@ -178,7 +175,7 @@ FIELDS = {
               for key in ("intensity_sigma", "hue_sigma", "pixel_sigma")},
     "codebook": {
         "bits": Field(int, low=MIN_BITS_INITIAL, high=MAX_BITS),  # robust: from MIN_BITS_ROBUST
-        "mode": Field(str, choices=("initial", "robust")),
+        "mode": Field(str, choices=MODES),
     },
     "duration_s": Field(float, above=0),  # MAX_FRAMES frames
     "seed": Field(int, low=0),
@@ -307,17 +304,6 @@ class ScenarioConfig:
         )
 
 
-def _log_so3(r: np.ndarray) -> np.ndarray:
-    angle = pose_mod.rotation_angle(r)
-    if angle < 1e-12:
-        return np.zeros(3)
-    axis = (
-        np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        / (2.0 * np.sin(angle))
-    )
-    return axis * angle
-
-
 def interpolate_poses(trajectory: list[tuple[float, Pose]], times
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (F, 3, 3) and translations (F, 3) of the trajectory at times (F,).
@@ -333,7 +319,7 @@ def interpolate_poses(trajectory: list[tuple[float, Pose]], times
     knot_t = np.array([t for t, _ in trajectory])
     knot_rot = np.array([p.rotation for _, p in trajectory])
     knot_trans = np.array([p.translation for _, p in trajectory])
-    logs = np.array([_log_so3(r1 @ r0.T) for r0, r1 in zip(knot_rot, knot_rot[1:])])
+    logs = np.array([pose_mod.log_so3(r1 @ r0.T) for r0, r1 in zip(knot_rot, knot_rot[1:])])
     knot = np.where(times <= knot_t[0], 0, -1)
     rot, trans = knot_rot[knot], knot_trans[knot]
     inside = np.flatnonzero((knot_t[0] < times) & (times < knot_t[-1]))
@@ -344,7 +330,7 @@ def interpolate_poses(trajectory: list[tuple[float, Pose]], times
         t0, t1 = knot_t[seg], knot_t[seg + 1]
         s = ((times[at] - t0) / (t1 - t0))[:, None]
         turn = pose_mod.exp_so3(logs[seg] * s) @ knot_rot[seg]
-        rot[at] = pose_mod._nearest_rotation(turn)
+        rot[at] = pose_mod.nearest_rotation(turn)
         trans[at] = (1 - s) * knot_trans[seg] + s * knot_trans[seg + 1]
     return rot, trans
 
@@ -463,18 +449,16 @@ def _frame_clocks(config: ScenarioConfig, heartbeats: list[dict]) -> Iterator[tu
                channel.ClockModel(flashers.rate_ppm, flasher_offset))
 
 
-def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState],
+def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState], scheme: str,
            rng: np.random.Generator, heartbeats: list[dict]) -> Iterator[_Chunk]:
     """The run's frames as sensed, in chunks of at most FRAME_CHUNK frames.
 
     Each chunk is array passes over its frames: the clocks as they stand at
     each frame, the true poses, the projections, the rolling-shutter
-    instants, the bits lit then and their rendering. Pulses fired are
-    appended to heartbeats.
+    instants, the bits lit then and their rendering in scheme. Pulses fired
+    are appended to heartbeats.
     """
     positions = np.array([f.position for f in config.flashers], dtype=float).reshape(-1, 3)
-    scheme = config.flashers[0].scheme if config.flashers else "hue"
-    size = config.intrinsics.image_size
     for frames, base, tracker_at, flashers_at in _frame_clocks(config, heartbeats):
         column = base[:, None]
         spread = np.concatenate(
@@ -487,14 +471,11 @@ def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState],
             awake = ~channel.heartbeat_expired(tracker_at, column, config.heartbeat_timeout_s)
         rot, trans = interpolate_poses(config.trajectory, base)
         pixels, depth = pose_mod.project_points(config.intrinsics, rot, trans, positions)
-        rows, cols = pixels[..., 0], pixels[..., 1]
-        seen = awake & (depth > 0)
-        if size is not None:
-            seen &= (0 <= rows) & (rows < size[0]) & (0 <= cols) & (cols < size[1])
+        seen = awake & config.intrinsics.sees(pixels, depth)
         # a behind-camera row is meaningless, and may be inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             taus = flashers_at.local_time(
-                channel.sample_time(config.sensor, tracker_at, frames[:, None], rows))
+                channel.sample_time(config.sensor, tracker_at, frames[:, None], pixels[..., 0]))
         index = np.zeros(seen.shape)
         bits = np.zeros(seen.shape, dtype=int)
         for k, emitter in enumerate(emitters):
@@ -543,7 +524,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     # each frame's correspondences, or None below four, solved after the loop
     correspondences: list[tuple[np.ndarray, np.ndarray] | None] = []
 
-    for chunk in _sense(config, emitters, rng, heartbeats):
+    for chunk in _sense(config, emitters, scheme, rng, heartbeats):
         max_desync = max(max_desync, chunk.desync)
         truths.append((chunk.rot, chunk.trans))
         for fs, index in zip(flasher_states, chunk.indices):
@@ -607,35 +588,31 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             )
             per_frame.append(frame_entry)
 
-    # each chunk's fixes scored against its true poses in one stacked pass
+    # every fix scored against its true pose in one stacked pass
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)
-    lo = 0
-    for rot, trans in truths:
-        span = slice(lo, lo + len(rot))
-        entries = list(zip(per_frame[span], correspondences[span], fixes[span]))
-        posed = [f for f, (_, _, est) in enumerate(entries) if est is not None]
-        rad, metres = pose_mod.pose_errors(
-            np.array([entries[f][2].rotation for f in posed]).reshape(-1, 3, 3),
-            np.array([entries[f][2].translation for f in posed]).reshape(-1, 3),
-            rot[posed], trans[posed])
-        errors = dict(zip(posed, zip(rad.tolist(), metres.tolist())))
-        for f, (frame_entry, problem, est) in enumerate(entries):
-            r_err, t_err = errors.get(f, (None, None))
-            frame_entry.update(
-                pose=None if est is None else {
-                    "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
-                    "translation_m": [round(v, 15) for v in est.translation.tolist()],
-                },
-                degenerate=problem is not None and est is None,
-                rotation_error_rad=r_err,
-                translation_error_m=t_err,
-            )
-            if debug_truth:
-                frame_entry["truth_pose"] = {
-                    "rotation": rot[f].ravel().tolist(),
-                    "translation_m": trans[f].tolist(),
-                }
-        lo += len(rot)
+    rot, trans = (np.concatenate(a) for a in zip(*truths))
+    posed = [f for f, est in enumerate(fixes) if est is not None]
+    rad, metres = pose_mod.pose_errors(
+        np.array([fixes[f].rotation for f in posed]).reshape(-1, 3, 3),
+        np.array([fixes[f].translation for f in posed]).reshape(-1, 3),
+        rot[posed], trans[posed])
+    errors = dict(zip(posed, zip(rad.tolist(), metres.tolist())))
+    for f, (frame_entry, problem, est) in enumerate(zip(per_frame, correspondences, fixes)):
+        r_err, t_err = errors.get(f, (None, None))
+        frame_entry.update(
+            pose=None if est is None else {
+                "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
+                "translation_m": [round(v, 15) for v in est.translation.tolist()],
+            },
+            degenerate=problem is not None and est is None,
+            rotation_error_rad=r_err,
+            translation_error_m=t_err,
+        )
+        if debug_truth:
+            frame_entry["truth_pose"] = {
+                "rotation": rot[f].ravel().tolist(),
+                "translation_m": trans[f].tolist(),
+            }
 
     per_flasher = []
     for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):

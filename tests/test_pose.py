@@ -10,6 +10,7 @@ from flashtrack.pose import (
     InsufficientDataError,
     Pose,
     exp_so3,
+    log_so3,
     pose_error,
     project,
     project_points,
@@ -139,6 +140,36 @@ class TestProjection:
         for r, t, pixel, z in zip(rot, trans, pixels, depth):
             want_pixel, want_z = project_points(K, r, t, pts)
             assert np.array_equal(pixel, want_pixel) and np.array_equal(z, want_z)
+
+    # a point on the camera plane divides by zero depth without a warning
+    @pytest.mark.filterwarnings("error")
+    def test_zero_depth_projects_without_warning(self):
+        pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        pixels, depth = project_points(K, np.eye(3), np.zeros(3), pts)
+        assert depth.tolist() == [0.0, 0.0]
+        assert not np.isfinite(pixels).any()
+        assert not K.sees(pixels, depth).any()
+
+    def test_rays_invert_pixels(self):
+        rng = np.random.default_rng(16)
+        cam = rng.normal([0.0, 0.0, 4.0], [1.0, 1.0, 2.0], (50, 3))
+        cam[:, 2] = np.abs(cam[:, 2]) + 0.1
+        rays = K.rays(K.pixels(cam))
+        assert rays.shape == (50, 2)
+        assert np.allclose(rays, cam[:, :2] / cam[:, 2:], rtol=0.0, atol=1e-14)
+
+    def test_sees_at_the_image_edges(self):
+        bounded = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, image_size=(480, 640))
+        pixels = np.array([[0.0, 10.0], [480.0, 10.0], [10.0, -1e-9], [10.0, 639.5], [10.0, 10.0]])
+        depth = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        # row 0 is in view, row = rows is not, a negative col is not, depth 0 is not
+        assert bounded.sees(pixels, depth).tolist() == [True, False, False, True, False]
+
+    def test_sees_without_image_size_bounds_by_depth_only(self):
+        pixels = np.array([[-1e6, 1e6], [5e3, -5e3], [0.0, 0.0], [1.0, 1.0]])
+        depth = np.array([1.0, 2.0, -1.0, 0.0])
+        assert K.image_size is None
+        assert K.sees(pixels, depth).tolist() == [True, True, False, False]
 
 
 class TestSolvePnp:
@@ -408,6 +439,16 @@ class TestHelpers:
     def test_rotation_angle(self):
         assert rotation_angle(np.eye(3)) == pytest.approx(0.0)
         assert rotation_angle(exp_so3([0.3, 0, 0])) == pytest.approx(0.3)
+
+    def test_log_inverts_exp_below_pi(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            w = rng.normal(0.0, 1.0, 3)
+            w *= rng.uniform(1e-6, np.pi - 1e-3) / np.linalg.norm(w)
+            assert np.allclose(log_so3(exp_so3(w)), w, rtol=0.0, atol=1e-9)
+
+    def test_log_of_identity_is_zero(self):
+        assert np.array_equal(log_so3(np.eye(3)), np.zeros(3))
 
     def test_pose_error_zero_for_identical(self):
         p = Pose(exp_so3([0.1, 0.2, 0.3]), [1, 2, 3])

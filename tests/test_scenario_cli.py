@@ -644,8 +644,8 @@ class TestTrajectoryInterpolation:
         for (t0, p0), (t1, p1) in zip(trajectory, trajectory[1:]):
             if t0 <= t <= t1:
                 s = (t - t0) / (t1 - t0)
-                rel = scenario._log_so3(p1.rotation @ p0.rotation.T)
-                rot = pose_mod._nearest_rotation(pose_mod.exp_so3(rel * s) @ p0.rotation)
+                rel = pose_mod.log_so3(p1.rotation @ p0.rotation.T)
+                rot = pose_mod.nearest_rotation(pose_mod.exp_so3(rel * s) @ p0.rotation)
                 return Pose(rot, (1 - s) * p0.translation + s * p1.translation)
         return trajectory[-1][1]
 

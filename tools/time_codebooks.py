@@ -2,11 +2,11 @@
 
     python3 tools/time_codebooks.py [--repeats 5] [--out BENCH_codebook.json]
 
-Imports flashtrack from this checkout's src/. Records the median build
-time of the initial and robust books for n = 7..21, and of `flashtrack
-codebook report --bits 7..21` in a fresh process, over the repeats; and the
-CPU count, Python and numpy versions and git commit (-dirty: uncommitted;
-null outside a checkout).
+Imports flashtrack from this checkout's src/, and holds BLAS to one thread
+as bench/run.py does. Records the median build time of the initial and
+robust books for n = 7..21, and of `flashtrack codebook report --bits 7..21`
+in a fresh process, over the repeats; and the CPU count, Python and numpy
+versions and git commit (-dirty: uncommitted; null outside a checkout).
 """
 
 import argparse
@@ -18,6 +18,8 @@ import subprocess
 import sys
 import time
 
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)

@@ -2,11 +2,12 @@
 
     python3 tools/time_decoder.py [--repeats 5] [--out BENCH_decoder.json]
 
-Imports flashtrack from this checkout's src/. The family is the one the
-lock-sweep benchmark pushes: for the robust books n = 13..16, every word
-from every phase, four clean cycles with one flip, duplication or
-deletion at stream position n+pos, each stream pushed bit by bit through
-a fresh `StreamDecoder` until it locks. Records per n the stream count,
+Imports flashtrack from this checkout's src/ and the stream family from the
+lock-sweep workload in bench/workloads.py, and holds BLAS to one thread as
+bench/run.py does. For the robust books n = 13..16, every word from every
+phase, four clean cycles with one flip, duplication or deletion at stream
+position n+pos, each stream pushed bit by bit through a fresh
+`StreamDecoder` until it locks. Records per n the stream count,
 the bits pushed and the median bits/s over the repeats (only the pushes
 are timed; books are built and streams formed outside the clock), and
 the CPU count, Python and numpy versions and git commit (-dirty:
@@ -14,7 +15,6 @@ uncommitted; null outside a checkout).
 """
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -22,30 +22,16 @@ import statistics
 import sys
 import time
 
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 from flashtrack.codebook import generate_robust_codebook  # noqa: E402
 from flashtrack.codec import StreamDecoder  # noqa: E402
 from git_commit import git_commit  # noqa: E402
-
-BITS = range(13, 17)
-
-
-def streams(word: tuple, n: int):
-    """Every phase of word, four cycles, one flip/dup/del at position n+pos."""
-    for phase in range(n):
-        clean = [word[(phase + i) % n] for i in range(4 * n)]
-        for kind, pos in itertools.product(("flip", "dup", "del"), range(n)):
-            bits = list(clean)
-            if kind == "flip":
-                bits[n + pos] ^= 1
-            elif kind == "dup":
-                bits.insert(n + pos, bits[n + pos])
-            else:
-                del bits[n + pos]
-            yield bits
+from workloads import LockSweep  # noqa: E402
 
 
 def sweep(book, lut) -> tuple[int, int, float]:
@@ -53,7 +39,7 @@ def sweep(book, lut) -> tuple[int, int, float]:
     count = pushed = 0
     seconds = 0.0
     for word in book.words:
-        cases = list(streams(word.bits, lut.n))
+        cases = [bits for _, bits in LockSweep.streams(word.bits, lut.n)]
         t0 = time.perf_counter()
         for bits in cases:
             decoder = StreamDecoder(lut)
@@ -77,7 +63,7 @@ def main() -> None:
         "commit": git_commit(ROOT),
         "streams": {}, "bits": {}, "bits_per_s": {},
     }
-    for n in BITS:
+    for n in LockSweep.bits:
         book, lut = generate_robust_codebook(n)
         runs = [sweep(book, lut) for _ in range(args.repeats)]
         result["streams"][n], result["bits"][n] = runs[0][:2]
