@@ -230,19 +230,6 @@ def render_flashes(
     return levels, hues, pixels
 
 
-def render_sample(
-    bit: int,
-    scheme: str,
-    rng: np.random.Generator,
-    intensity_sigma: float = 0.0,
-    hue_sigma: float = 0.0,
-    scale: float = 1.0,
-) -> tuple[float, float]:
-    """(intensity, hue) of one flash showing bit: render_flashes of one."""
-    levels, hues, _ = render_flashes([bit], scheme, rng, intensity_sigma, hue_sigma, scale=scale)
-    return float(levels[0]), float(hues[0])
-
-
 def render_samples(
     bits,
     scheme: str,

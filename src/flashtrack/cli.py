@@ -131,11 +131,11 @@ def cmd_decode(args) -> int:
         _emit(json.dumps(result), args.out)
         return 0
     scheme = args.scheme or "hue"
+    bitizer = signal.BITIZERS[scheme]
     result = {}
     for trace in signal.read_trace_csv(args.trace):
-        push = signal.BITIZERS[scheme](lut.n).push
-        bits = (bit for s in trace.samples for bit in push(getattr(s, scheme)))
-        votes, identifier = _decode(lut, bits)
+        (emitted,) = bitizer.bitize([bitizer(lut.n)], [[getattr(s, scheme) for s in trace.samples]])
+        votes, identifier = _decode(lut, (bit for bits in emitted for bit in bits))
         result[str(trace.track_id)] = {"votes": votes, "locked_identifier": identifier}
     _emit(json.dumps(result, sort_keys=True), args.out)
     return 0

@@ -27,6 +27,7 @@ an n-bit word is n+1 bits long.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,16 @@ def noisify(w: BitWord) -> set[int]:
 class Codebook:
     """Ordered canonical code-words; identifiers are their 1-based ranks.
 
-    The words are held as their integer values; `word` and `words`
-    build BitWords on demand.
+    The words are held as a tuple of their integer values; `word` and
+    `words` build BitWords on demand.
     """
 
-    def __init__(self, n: int, mode: str, values: list[int]):
+    def __init__(self, n: int, mode: str, values):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.n = n
         self.mode = mode
-        self.values = list(values)
+        self.values = tuple(values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -159,7 +160,7 @@ class LookupTable:
     Initial-mode tables only populate the low 2^n slots. slots is a
     zero-copy memoryview of entries whose items are plain ints, so the
     decoder pays no numpy scalar per lookup and in-place writes to
-    entries show through it.
+    entries show through it; a view of read-only entries is read-only.
     """
 
     def __init__(self, n: int, mode: str, entries: np.ndarray):
@@ -333,6 +334,19 @@ def generate_codebook(n: int, mode: str) -> tuple[Codebook, LookupTable]:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return generate_robust_codebook(n) if mode == "robust" else generate_initial_codebook(n)
+
+
+@functools.lru_cache(maxsize=4)
+def shared_codebook(n: int, mode: str) -> tuple[Codebook, LookupTable]:
+    """generate_codebook(n, mode), built once for every caller that asks.
+
+    Every caller gets the one table, so none may edit it: its entries are
+    read-only, and so is the slots view taken from them. The memo keeps
+    the last four books; at n = 24 a table takes 128 MiB.
+    """
+    book, lut = generate_codebook(n, mode)
+    lut.entries.flags.writeable = False
+    return book, LookupTable(n, mode, lut.entries)
 
 
 def brute_force_max_codebook(n: int) -> int:

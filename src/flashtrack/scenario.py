@@ -5,19 +5,19 @@ camera (intrinsics, sensor timing, clock), a camera trajectory,
 heartbeat settings, noise levels, and the code-book to use; `FIELDS`
 holds every key with its type, bounds and default. `from_dict` checks a
 file against it, then across fields, naming every fault a stage finds in
-one ConfigError, and only then builds the code-book. `run` trusts the config
-it is handed. It senses the frames in chunks of at most `pose.FRAME_CHUNK`,
-each as array passes through `channel`: the flash bits sampled through the
-drifting clocks, and their rendering. Then, frame by frame, it does only
-the causal work: `signal` tracks the detections and classifies them back
-into bits, and `codec` decodes the identifiers. After the last frame, one
-`pose.solve_pnp_frames` call recovers the camera from the flasher map for
-every frame with four or more identified flashers: frames of six or more as
-batched stacks, frames of four or five in order, each started from the
-previous frame's fix (none after a frame without one). One `pose.pose_errors`
-call scores every fix against ground truth. The report records
-per-flasher lock-on and error events, per-frame detections and pose errors,
-and summary statistics.
+one ConfigError, and only then takes the code-book, shared read-only by
+every config of its (bits, mode). `run` trusts the config it is handed. It
+plays chunks of at most `pose.FRAME_CHUNK` frames in stages: sensing, as
+array passes through `channel`; association, frame by frame, the causal
+tracker; one stacked `bitize` pass over every track's new samples; and
+decoding, each track's bits through its decoder in frame order. After the
+last chunk, one `pose.solve_pnp_frames` call recovers the camera from the
+flasher map for every frame with four or more identified flashers: frames of
+six or more as batched stacks, frames of four or five in order, each started
+from the previous frame's fix (none after a frame without one). One
+`pose.pose_errors` call scores every fix against ground truth. The report
+records per-flasher lock-on and error events, per-frame detections and pose
+errors, and summary statistics.
 
 `run` keeps two clocks, the tracker's and one stacked `ClockModel` of every
 flasher's, each realigned once per heartbeat pulse. A chunk reads each
@@ -66,7 +66,7 @@ from .codebook import (
     MODES,
     Codebook,
     LookupTable,
-    generate_codebook,
+    shared_codebook,
 )
 from .pose import CameraIntrinsics, Pose
 
@@ -282,7 +282,7 @@ class ScenarioConfig:
                 errors.append(f"heartbeat.period_s: more than {MAX_FRAMES} pulses over all units")
 
         if not errors:
-            codebook, lut = generate_codebook(cb["bits"], cb["mode"])
+            codebook, lut = shared_codebook(cb["bits"], cb["mode"])
             if len(flashers) > len(codebook):
                 errors.append(f"flashers: {len(flashers)} exceed the book size {len(codebook)}")
             first: dict[int, int] = {}
@@ -339,16 +339,6 @@ def interpolate_pose(trajectory: list[tuple[float, Pose]], t: float) -> Pose:
     """The trajectory's pose at one instant: interpolate_poses at [t]."""
     rot, trans = interpolate_poses(trajectory, [t])
     return Pose(rot[0], trans[0])
-
-
-@dataclass
-class _TrackState:
-    """Decoder-side bookkeeping hung off one live track."""
-
-    bitizer: object
-    decoder: codec.StreamDecoder
-    truth_bits: deque = field(default_factory=lambda: deque(maxlen=64))
-    voted: bool = False
 
 
 @dataclass
@@ -500,7 +490,7 @@ def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState], scheme:
 
 
 def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
-    """Play a scenario frame by frame; deterministic for a given seed."""
+    """Play a scenario chunk by chunk, stage by stage; deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
 
     # explicit ids are kept, the rest greedy by distance; assigned
@@ -515,7 +505,10 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
     tracks: list[signal.SampleTrace] = []
-    track_states: dict[int, _TrackState] = {}
+    # by open track, keyed by track_id and first instant (associate reuses an
+    # id only for a later track): its bitizer, decoder and last n true bits
+    tracked: dict[tuple, tuple] = {}
+    voted: set[tuple] = set()  # keys of the tracks that have voted
     flasher_states = [_FlasherState() for _ in config.flashers]
     heartbeats: list[dict] = []
     per_frame: list[dict] = []
@@ -534,50 +527,54 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             fs.deletions += deletions
             fs.last_index = sightings[-1:]
 
-        for shared_base, bits, detections in zip(chunk.times, chunk.bits, chunk.detections):
-            frame = len(per_frame)
-            tracks = signal.associate(tracks, detections, config.gating_radius_px, shared_base)
-            # a closed track's id can be handed to a new track later, so its
-            # decoder state goes with it
-            open_ids = {tr.track_id for tr in tracks}
-            track_states = {tid: st for tid, st in track_states.items() if tid in open_ids}
+        # associate, frame by frame (the causal tracker): each frame's sampled tracks in order
+        sampled: list[list[tuple]] = []
+        values: dict[tuple, list[float]] = {}  # by track: its samples' values this chunk
+        for t, detections in zip(chunk.times, chunk.detections):
+            tracks = signal.associate(tracks, detections, config.gating_radius_px, t)
+            sampled.append([((tr.track_id, tr.samples[0].t), tr.samples[-1])
+                            for tr in tracks if tr.samples[-1].t == t])
+            for key, sample in sampled[-1]:
+                values.setdefault(key, []).append(getattr(sample, scheme))
+        for key in values.keys() - tracked.keys():
+            tracked[key] = (bitizer(config.book.n), codec.StreamDecoder(config.lut),
+                            deque(maxlen=config.book.n))
 
-            # advance decoders on tracks that got a sample this frame
+        # bitize every track's new samples in one stacked pass
+        emitted = bitizer.bitize([tracked[key][0] for key in values], list(values.values()))
+        emissions = {key: iter(bits) for key, bits in zip(values, emitted)}
+
+        # decode in frame order, tracks in list order, and build each frame's entry
+        for t, shown, row, detections in zip(chunk.times, chunk.bits, sampled, chunk.detections):
+            frame = len(per_frame)
             frame_ids: dict[int, tuple[float, float]] = {}
-            for tr in tracks:
-                if not tr.samples or tr.samples[-1].t != shared_base:
-                    continue
-                st = track_states.get(tr.track_id)
-                if st is None:
-                    st = _TrackState(bitizer(config.book.n), codec.StreamDecoder(config.lut))
-                    track_states[tr.track_id] = st
-                sample = tr.samples[-1]
+            for key, sample in row:
+                _, decoder, truth = tracked[key]
+                truth.append(shown[sample.source])
+                bits = next(emissions[key])
                 fs = flasher_states[sample.source]
-                st.truth_bits.append(bits[sample.source])
-                emitted = st.bitizer.push(getattr(sample, scheme))
-                # a backlog flush labels the last len(emitted) samples, so
-                # flips are judged against the matching tail of channel bits
-                truth_tail = list(st.truth_bits)[-len(emitted):] if emitted else []
-                for bit, true_bit in zip(emitted, truth_tail):
-                    fs.flips += bit != true_bit
-                    state = st.decoder.push(bit)
+                # a backlog flush labels the last len(bits) samples, so flips
+                # are judged against the matching tail of channel bits
+                fs.flips += sum(b != t for b, t in zip(reversed(bits), reversed(truth)))
+                for bit in bits:
+                    state = decoder.push(bit)
                     if state.vote:
                         fs.votes += 1
                         fs.votes_ok += state.vote == identifiers[sample.source]
-                        if not st.voted and fs.lock_on_frame is None:
-                            fs.lock_on_frame, fs.lock_on_time_s = frame, shared_base
+                        if key not in voted and fs.lock_on_frame is None:
+                            fs.lock_on_frame, fs.lock_on_time_s = frame, t
                             fs.identifier_decoded = state.vote
-                        st.voted = True
+                        voted.add(key)
                     if state.locked:
                         fs.locked_identifier = state.identifier
-                ident = st.decoder.identifier or st.decoder.state.vote
-                if ident:
+                ident = decoder.identifier or decoder.state.vote
+                if ident:  # of two tracks voting one identifier, the later one's pixel
                     frame_ids[ident] = sample.pixel
 
             # pose from identified flashers with known map positions
             frame_entry: dict = {
                 "frame": frame,
-                "t_s": shared_base,
+                "t_s": t,
                 "detections": len(detections),
                 "identified": sorted(frame_ids),
             }
@@ -587,6 +584,8 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 if len(usable) >= 4 else None
             )
             per_frame.append(frame_entry)
+
+        tracked = {key: tracked[key] for key in [(tr.track_id, tr.samples[0].t) for tr in tracks]}
 
     # every fix scored against its true pose in one stacked pass
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)

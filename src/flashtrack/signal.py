@@ -11,6 +11,14 @@ transition, the two samples flanking it seed the high/low labels, and
 the labels are swept outward, toggling whenever a consecutive change
 reaches 40% of that largest jump.
 
+Both bitizers take samples through one call, `bitize`, which runs many
+tracks' new samples as one array pass: each sample's trailing window is a
+row of one stacked array, labelled, gated and flushed at once, and each
+bitizer keeps only what its next sample needs. The startup gate's sums run
+left to right, so any split of a track's samples into calls gives the same
+bits. The gate still passes some noise-only windows (F2 in
+bench/README.md); that fault is kept here, not mended.
+
 The detection half finds bright 4-connected blobs in a frame, reduces
 each to an intensity-weighted centroid, and associates detections to
 existing tracks frame over frame by nearest neighbour within a gate.
@@ -20,10 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -65,25 +70,44 @@ class SampleTrace:
         return self.samples[-1].pixel
 
 
-def _circular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
-
-
 def classify_hue(hues) -> list[int]:
     """1 when a hue sits closer to the red reference than the blue one.
 
     The midpoint (120 degrees either way) ties toward 0. Raises ValueError
     on a hue that is not finite.
     """
-    out = []
-    for h in hues:
-        if not math.isfinite(h):
-            raise ValueError(f"hue must be finite, got {h!r}")
-        out.append(
-            1 if _circular_distance(h, HUE_HIGH_DEG) < _circular_distance(h, HUE_LOW_DEG) else 0
-        )
-    return out
+    return _hue_bits(np.asarray(hues, dtype=float)).tolist()
+
+
+def _hue_bits(h: np.ndarray) -> np.ndarray:
+    """classify_hue of an array of hues, as uint8."""
+    bad = h[~np.isfinite(h)]
+    if len(bad):
+        raise ValueError(f"hue must be finite, got {float(bad[0])!r}")
+    high, low = (np.abs(h - ref) % 360.0 for ref in (HUE_HIGH_DEG, HUE_LOW_DEG))
+    return (np.minimum(high, 360.0 - high) < np.minimum(low, 360.0 - low)).view(np.uint8)
+
+
+def _label_windows(x: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """classify_intensity of stacked windows: (bits, ok).
+
+    Row r's window is x[r, first[r]:]; the columns before it are ignored.
+    bits (R, W) holds each window's labels from its first column on, and
+    ok is False where a window is flat or shorter than 2 samples, whose
+    bits mean nothing.
+    """
+    rows = np.arange(len(x))
+    jumps = np.abs(np.diff(x, axis=1))
+    # a jump out of an ignored column is never the largest nor a toggle
+    jumps[np.arange(x.shape[1] - 1) < first[:, None]] = -1.0
+    k = jumps.argmax(axis=1)  # the first largest
+    largest = jumps[rows, k]
+    toggles = jumps >= TRANSITION_FRACTION * largest[:, None]
+    toggles[rows, k] = True  # the largest jump always counts
+    parity = np.zeros(x.shape, dtype=bool)  # toggles mod 2 up to each sample
+    np.logical_xor.accumulate(toggles, axis=1, out=parity[:, 1:])
+    flip = parity[rows, k] ^ ~(x[rows, k + 1] > x[rows, k])
+    return parity ^ flip[:, None], largest > 0.0
 
 
 def classify_intensity(window) -> list[int]:
@@ -95,32 +119,30 @@ def classify_intensity(window) -> list[int]:
     NoTransitionError on a flat window (legal codes always transition),
     and ValueError on a sample that is not finite.
     """
-    x = list(map(float, window))
-    if len(x) < 2:
+    x = np.asarray(window, dtype=float).reshape(1, -1)
+    if x.shape[1] < 2:
         raise ValueError("window must hold at least 2 samples")
-    if not all(map(math.isfinite, x)):
+    if not np.isfinite(x).all():
         raise ValueError("window samples must be finite")
-    jumps = list(map(abs, map(operator.sub, x[1:], x)))
-    largest = max(jumps)
-    if largest == 0.0:
+    bits, ok = _label_windows(x, np.zeros(1, dtype=np.intp))
+    if not ok[0]:
         raise NoTransitionError("window has no intensity transition")
+    return bits[0].view(np.uint8).tolist()
 
-    k = jumps.index(largest)  # the first largest
-    threshold = TRANSITION_FRACTION * largest
-    toggles = [jump >= threshold for jump in jumps]
-    toggles[k] = True  # the largest jump always counts
-    parity = list(accumulate(toggles, int.__xor__, initial=0))  # toggles mod 2 up to each sample
-    flip = parity[k] ^ (not x[k + 1] > x[k])
-    return [p ^ flip for p in parity]
+
+def _running_sum(values: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """Per row, the sum of the values at where, added left to right."""
+    return np.cumsum(np.where(where, values, 0.0), axis=1)[:, -1]
 
 
 class IntensityBitizer:
-    """Causal wrapper: re-classify the trailing window per new sample.
+    """Causal bitizer of one track: re-classify the trailing window per new sample.
 
     Only the newest sample's bit is emitted downstream; earlier bits
     are never rewritten. Samples arriving before the first transition
     cannot be labelled yet, so they accumulate and flush in one batch
-    the moment a transition enters the window.
+    the moment a transition enters the window; a flush labels at most a
+    window's worth of samples, the newest.
 
     The classifier itself has no absolute scale, so under sensor noise
     a window that holds no real transition yet would still classify its
@@ -130,6 +152,12 @@ class IntensityBitizer:
     scatter. Once a trusted transition has been seen, every legal code
     keeps one inside the window (no run spans a whole cycle), so
     steady-state emission needs no gate.
+
+    A bitizer holds only what the next sample needs: the last
+    window_len - 1 samples (tail), the samples not yet emitted (pending)
+    and whether the gate has passed (started). `bitize` runs many
+    bitizers over many samples as one array pass; `push` is one sample
+    through it.
     """
 
     #: startup only: high/low cluster gap must exceed this multiple of
@@ -141,57 +169,124 @@ class IntensityBitizer:
     def __init__(self, window_len: int):
         if window_len < 2:
             raise ValueError("window_len must be >= 2")
-        self.window: deque[float] = deque(maxlen=window_len)
-        self._pending = 0
-        self._started = False
-
-    def _startup_ready(self, bits: list[int]) -> bool:
-        if len(self.window) < min(self.STARTUP_MIN_SAMPLES, self.window.maxlen):
-            return False
-        x = np.asarray(self.window, dtype=float)
-        labels = np.asarray(bits, dtype=bool)
-        high, low = x[labels], x[~labels]
-        if not len(high) or not len(low):
-            return False
-        gap = float(high.mean() - low.mean())
-        spreads = [float(c.std()) for c in (high, low) if len(c) >= 2]
-        spread = max(spreads) if spreads else 0.0
-        if spread and gap < self.STARTUP_SEPARATION * spread:
-            return False
-        # plateau check: adjacent same-label samples differ by noise only,
-        # so a believable window keeps those steps far below the gap
-        same = labels[1:] == labels[:-1]
-        if np.any(same):
-            floor = float(np.sqrt(np.mean(np.diff(x)[same] ** 2)))
-            if floor and gap < self.STARTUP_SEPARATION * floor:
-                return False
-        return True
+        self.window_len = window_len
+        self.tail = np.empty(0)
+        self.pending = 0
+        self.started = False
 
     def push(self, intensity: float) -> list[int]:
-        self.window.append(float(intensity))
-        self._pending += 1
-        if len(self.window) < 2:
-            return []
-        try:
-            bits = classify_intensity(self.window)
-        except NoTransitionError:
-            return []
-        if not self._started and not self._startup_ready(bits):
-            return []
-        self._started = True
-        emitted = bits[-self._pending :] if self._pending <= len(bits) else bits
-        self._pending = 0
-        return emitted
+        """Bits emitted on one new sample, oldest first."""
+        return self.bitize([self], [[intensity]])[0][0]
+
+    @classmethod
+    def _startup_ready(cls, x: np.ndarray, first: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """The startup gate of stacked windows, laid out as in _label_windows."""
+        valid = np.arange(x.shape[1]) >= first[:, None]
+        means, spreads, sizes = [], [], []
+        for cluster in (valid & bits, valid & ~bits):  # high, low
+            size = cluster.sum(axis=1)
+            mean = _running_sum(x, cluster) / np.maximum(size, 1)
+            dev = np.subtract(x, mean[:, None], where=cluster, out=np.zeros_like(x))
+            spread = np.sqrt(_running_sum(dev * dev, cluster) / np.maximum(size, 1))
+            means.append(mean)
+            spreads.append(np.where(size >= 2, spread, 0.0))  # no scatter from one sample
+            sizes.append(size)
+        gap = means[0] - means[1]
+        spread = np.maximum(*spreads)
+        # plateau check: adjacent same-label samples differ by noise only,
+        # so a believable window keeps those steps far below the gap
+        same = (bits[:, 1:] == bits[:, :-1]) & valid[:, :-1]
+        step = np.diff(x, axis=1)
+        floor = np.sqrt(_running_sum(step * step, same) / np.maximum(same.sum(axis=1), 1))
+        return (
+            (x.shape[1] - first >= min(cls.STARTUP_MIN_SAMPLES, x.shape[1]))
+            & (sizes[0] > 0) & (sizes[1] > 0)
+            & ((spread == 0.0) | ~(gap < cls.STARTUP_SEPARATION * spread))
+            & ((floor == 0.0) | ~(gap < cls.STARTUP_SEPARATION * floor))
+        )
+
+    @classmethod
+    def bitize(cls, bitizers: list["IntensityBitizer"], samples: list) -> list[list[list[int]]]:
+        """Push each bitizer's new samples, all in one array pass.
+
+        samples holds each bitizer's new samples in order; the bitizers
+        must share one window_len. Returns, per bitizer and sample, the
+        bits that sample emitted, oldest first, as push would return them,
+        and leaves each bitizer as repeated push calls would. A sample
+        that is not finite raises ValueError before any bitizer changes.
+        """
+        values = [np.asarray(s, dtype=float).reshape(-1) for s in samples]
+        new = np.concatenate(values) if values else np.empty(0)
+        if not np.isfinite(new).all():
+            raise ValueError("intensity samples must be finite")
+        if not len(new):
+            return [[] for _ in values]
+        width = bitizers[0].window_len
+        if any(b.window_len != width for b in bitizers):
+            raise ValueError("bitizers must share one window_len")
+
+        # each bitizer's block: its tail right-aligned in width - 1 slots,
+        # then its new samples; sample j's window ends at slot width - 1 + j
+        counts = np.array([len(v) for v in values])
+        known = np.array([len(b.tail) for b in bitizers])
+        pad = np.zeros(width - 1)
+        x = np.concatenate([part for b, v in zip(bitizers, values)
+                            for part in (pad[len(b.tail):], b.tail, v)])
+        rows = np.arange(len(new))
+        owner = np.repeat(np.arange(len(values)), counts)
+        row0 = np.cumsum(counts) - counts  # each bitizer's first row
+        j = rows - row0[owner]  # each row's index among its bitizer's samples
+        block0 = row0 + np.arange(len(values)) * (width - 1)
+        windows = np.lib.stride_tricks.sliding_window_view(x, width)[block0[owner] + j]
+        first = np.maximum(width - 1 - known[owner] - j, 0)
+        bits, ok = _label_windows(windows, first)
+
+        started0 = np.array([b.started for b in bitizers])
+        gate = ok & ~started0[owner]
+        if gate.any():
+            gate[gate] = cls._startup_ready(windows[gate], first[gate], bits[gate])
+        # started at a row: before the pass, or the gate passed at a row of
+        # the same bitizer up to this one
+        passed = np.cumsum(gate)
+        started = started0[owner] | (passed > (passed - gate)[row0[owner]])
+        emit = ok & started
+
+        # samples since the last emission, this one included
+        last = np.maximum.accumulate(np.where(emit, rows, -1))
+        before = np.concatenate([[-1], last[:-1]])
+        pending0 = np.array([b.pending for b in bitizers])
+        pending = np.where(before >= row0[owner], rows - before, j + 1 + pending0[owner])
+        emitted = np.where(emit, np.minimum(pending, width - first), 0)
+
+        for b, k, r, end in zip(bitizers, counts.tolist(), (row0 + counts - 1).tolist(),
+                                (block0 + width - 1 + counts).tolist()):
+            if k:
+                b.tail = x[max(end - width + 1, end - len(b.tail) - k) : end].copy()
+                b.started = bool(started[r])
+                b.pending = 0 if emit[r] else int(pending[r])
+        flat = bits[np.arange(width) >= width - emitted[:, None]].view(np.uint8).tolist()
+        ends = np.cumsum(emitted).tolist()
+        per_sample = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        return [per_sample[a : a + k] for a, k in zip(row0.tolist(), counts.tolist())]
 
 
 class HueBitizer:
-    """Per-sample hue classification, same push interface as intensity."""
+    """Per-sample hue classification, same interface as IntensityBitizer."""
 
     def __init__(self, window_len: int | None = None):
         del window_len  # hue needs no history; kept for interface parity
 
     def push(self, hue: float) -> list[int]:
-        return classify_hue([hue])
+        """The bit of one new sample, as a list of one."""
+        return self.bitize([self], [[hue]])[0][0]
+
+    @classmethod
+    def bitize(cls, bitizers: list["HueBitizer"], samples: list) -> list[list[list[int]]]:
+        """Per bitizer and sample, that sample's bit as a list of one; one array pass."""
+        del bitizers  # stateless
+        hues = [np.asarray(s, dtype=float).reshape(-1) for s in samples]
+        bits = iter(_hue_bits(np.concatenate(hues) if hues else np.empty(0)).tolist())
+        return [[[next(bits)] for _ in h] for h in hues]
 
 
 #: bitizer of each scheme; a scheme is named after the FlashSample field it reads

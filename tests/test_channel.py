@@ -17,7 +17,6 @@ from flashtrack.channel import (
     count_drift_events,
     heartbeat_expired,
     render_flashes,
-    render_sample,
     render_samples,
     sample_stream,
     sample_time,
@@ -340,20 +339,22 @@ class TestRenderSample:
         )
         rng = np.random.default_rng(5)
         for sample, (t, bit) in zip(trace.samples, bits):
-            want = render_sample(bit, scheme, rng, 3.0, 20.0, scale=0.25)
-            assert (sample.t, sample.intensity, sample.hue) == (t, *want)
+            level, hue, _ = render_flashes([bit], scheme, rng, 3.0, 20.0, scale=0.25)
+            assert (sample.t, sample.intensity, sample.hue) == (t, level[0], hue[0])
         assert len(trace.samples) == len(bits)
 
     def test_noise_free_draws_nothing(self):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        assert render_sample(1, "intensity", rng, hue_sigma=9.0) == (DEFAULT_HIGH, 0.0)
-        assert render_sample(0, "hue", rng, intensity_sigma=9.0) == (DEFAULT_HIGH, 240.0)
+        level, hue, _ = render_flashes([1], "intensity", rng, hue_sigma=9.0)
+        assert (level.tolist(), hue.tolist()) == ([DEFAULT_HIGH], [0.0])
+        level, hue, _ = render_flashes([0], "hue", rng, intensity_sigma=9.0)
+        assert (level.tolist(), hue.tolist()) == ([DEFAULT_HIGH], [240.0])
         assert rng.bit_generator.state == state
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            render_sample(1, "laser", np.random.default_rng(0))
+            render_flashes([1], "laser", np.random.default_rng(0))
 
 
 def one_flash_at_a_time(bits, pixels, scheme, rng, level_sigma, pixel_sigma):
@@ -406,7 +407,8 @@ class TestRenderFlashes:
     def test_render_sample_is_a_block_of_one(self):
         rng, one = np.random.default_rng(6), np.random.default_rng(6)
         levels, hues, _ = render_flashes([1, 0, 0], "hue", rng, hue_sigma=40.0)
-        assert [render_sample(b, "hue", one, hue_sigma=40.0) for b in (1, 0, 0)] == list(
+        blocks = [render_flashes([b], "hue", one, hue_sigma=40.0)[:2] for b in (1, 0, 0)]
+        assert [(level[0], hue[0]) for level, hue in blocks] == list(
             zip(levels.tolist(), hues.tolist()))
 
 

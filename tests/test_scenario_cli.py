@@ -1,6 +1,7 @@
 """End-to-end scenario runs and the command-line surface."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -278,6 +279,31 @@ class TestScenarioCube:
             assert fl["id_accuracy"] == 1.0
             assert fl["flips"] == 0
 
+    def test_one_identifier_voted_by_two_tracks_takes_the_later_pixel(self, monkeypatch):
+        # flashers 0 and 7 flash one word in step, so their tracks vote one
+        # identifier in every frame; the track later in list order supplies
+        # the pixel, and tracks open in pixel order
+        ids = {k: k + 1 for k in range(7)} | {7: 1}
+        monkeypatch.setattr(codec, "assign_ids", lambda *args: ids)
+        solve_frames, frames = pose_mod.solve_pnp_frames, []
+        monkeypatch.setattr(pose_mod, "solve_pnp_frames",
+                            lambda K, todo: frames.extend(todo) or solve_frames(K, todo))
+        config = ScenarioConfig.from_dict(cube_config())
+        report = run(config)
+        assert report.per_flasher[0]["identifier_decoded"] == 1
+        assert report.per_flasher[7]["identifier_decoded"] == 1
+        (_, pose), = config.trajectory
+        pixels, _ = pose_mod.project_points(
+            config.intrinsics, pose.rotation, pose.translation,
+            [config.flashers[k].position for k in (0, 7)])
+        later = max(map(tuple, pixels.tolist()))
+        assert later != min(map(tuple, pixels.tolist()))
+        # identifier 1 maps to flasher 7's position, the last flasher holding it
+        position = config.flashers[7].position
+        used = [tuple(pixel) for problem in frames if problem is not None
+                for point, pixel in zip(*problem) if np.array_equal(point, position)]
+        assert used and set(used) == {later}
+
     def test_warm_started_poses_match_cold_solves(self, monkeypatch):
         # the camera yaws and rolls until only 5 corners stay in the image;
         # each 4-5 point solve is warm-started from the previous frame's fix
@@ -520,7 +546,7 @@ class TestScenarioConfig:
             # an 8-word stand-in: the real n = 24 books take seconds to build, and
             # the smallest hold one word, too few for the cube's 8 flashers
             stand_in = lambda n, m: (Codebook(n, m, [1] * 8), None)  # noqa: E731
-            monkeypatch.setattr(scenario, "generate_codebook", stand_in)
+            monkeypatch.setattr(scenario, "shared_codebook", stand_in)
             config = ScenarioConfig.from_dict(raw)
             assert (config.book.n, config.book.mode) == (bits, mode)
             return
@@ -550,8 +576,24 @@ class TestScenarioConfig:
         monkeypatch.setattr(
             codebook, "_generate", lambda n, mode: calls.append((n, mode)) or build(n, mode)
         )
+        # an empty memo of the same size, so the first config builds the book
+        memo = codebook.shared_codebook
+        monkeypatch.setattr(scenario, "shared_codebook", functools.lru_cache(
+            memo.cache_info().maxsize)(memo.__wrapped__))
         run(ScenarioConfig.from_dict(cube_config()))
         assert calls == [(12, "robust")]
+        run(ScenarioConfig.from_dict(cube_config(seed=8)))
+        assert calls == [(12, "robust")]
+
+    def test_shared_book_cannot_be_edited(self):
+        a, b = (ScenarioConfig.from_dict(cube_config(seed=s)) for s in (1, 2))
+        assert a.book is b.book and a.lut is b.lut
+        assert isinstance(a.book.values, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            a.lut.entries[0] = 1
+        with pytest.raises(TypeError):
+            a.lut.slots[0] = 1
+        assert np.shares_memory(np.asarray(a.lut.slots), a.lut.entries)
 
     def test_bad_fields_refused_before_the_book(self, monkeypatch):
         # an n = 24 robust book would take tens of seconds to build

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -186,6 +187,150 @@ class TestHueBitizer:
         biti = HueBitizer()
         assert biti.push(3.0) == [1]
         assert biti.push(241.0) == [0]
+
+
+def running_total(values) -> float:
+    """values added left to right, as the startup gate sums them."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_startup_ready(window, bits, width) -> bool:
+    """IntensityBitizer's startup gate on one window, as a plain loop."""
+    if len(window) < min(IntensityBitizer.STARTUP_MIN_SAMPLES, width):
+        return False
+    high = [x for x, b in zip(window, bits) if b]
+    low = [x for x, b in zip(window, bits) if not b]
+    if not high or not low:
+        return False
+
+    def mean(c):
+        return running_total(c) / len(c)
+
+    def std(c):
+        m = mean(c)
+        return math.sqrt(running_total((x - m) * (x - m) for x in c) / len(c))
+
+    gap = mean(high) - mean(low)
+    separation = IntensityBitizer.STARTUP_SEPARATION
+    spread = max([std(c) for c in (high, low) if len(c) >= 2], default=0.0)
+    if spread and gap < separation * spread:
+        return False
+    steps = [(b - a) * (b - a)
+             for a, b, la, lb in zip(window, window[1:], bits, bits[1:]) if la == lb]
+    if steps:
+        floor = math.sqrt(running_total(steps) / len(steps))
+        if floor and gap < separation * floor:
+            return False
+    return True
+
+
+class ReferenceIntensityBitizer:
+    """The intensity bitizer as a loop: re-classify the whole window per sample."""
+
+    def __init__(self, width):
+        self.window = deque(maxlen=width)
+        self.pending = 0
+        self.started = False
+
+    def push(self, x):
+        if not math.isfinite(x):
+            raise ValueError("not finite")
+        self.window.append(float(x))
+        self.pending += 1
+        window = list(self.window)
+        if len(window) < 2 or all(a == b for a, b in zip(window, window[1:])):
+            return []
+        bits = TestClassifyIntensity.outward_sweep(window)
+        if not self.started and not reference_startup_ready(window, bits, self.window.maxlen):
+            return []
+        self.started = True
+        emitted = bits[-self.pending :]
+        self.pending = 0
+        return emitted
+
+
+def pushed(bitizer, samples):
+    """What each sample's push call returns, in order."""
+    return [bitizer.push(x) for x in samples]
+
+
+def stacked_emissions(cls, width, streams, splits):
+    """Each stream's emission per sample, the streams bitized together by
+    cls.bitize in rounds: round r hands stream i its next splits[i][r % len]
+    samples, and a last round all that is left."""
+    bitizers = [cls(width) for _ in streams]
+    taken = [0] * len(streams)
+    out = [[] for _ in streams]
+    rounds = max(map(len, streams))
+    for rnd in range(rounds + 1):
+        sizes = [split[rnd % len(split)] if split and rnd < rounds else len(x)
+                 for x, split in zip(streams, splits)]
+        chunks = [x[t : t + k] for x, t, k in zip(streams, taken, sizes)]
+        emitted = cls.bitize(bitizers, chunks)
+        assert list(map(len, emitted)) == list(map(len, chunks))
+        for i, chunk in enumerate(chunks):
+            out[i].extend(emitted[i])
+            taken[i] += len(chunk)
+    assert taken == list(map(len, streams))
+    return out
+
+
+# run-length streams: a repeated value makes flat windows and backlogs past the
+# window; levels near 20 and 100 with small offsets make noisy startups and codes
+LEVEL = st.one_of(
+    st.sampled_from([20.0, 100.0]),
+    st.floats(15.0, 25.0), st.floats(95.0, 105.0), st.floats(0.0, 200.0),
+)
+STREAM = st.lists(st.tuples(LEVEL, st.integers(1, 30)), max_size=8).map(
+    lambda runs: [v for v, r in runs for _ in range(r)])
+SPLITS = st.lists(st.integers(0, 9), max_size=4)
+
+
+class TestStackedBitize:
+    @given(st.integers(2, 24), st.lists(st.tuples(STREAM, SPLITS), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    @example(8, [([10.0] * 20 + [90.0, 10.0, 90.0], [3])])  # backlog past the window
+    @example(5, [([20.0, 100.0] * 4 + [100.0] * 12 + [20.0, 100.0] * 3, [])])  # flat mid-stream
+    @example(16, [([19.0, 19.1, 21.3, 19.0, 18.7] * 3, [1, 0, 2])])  # a noise-only start
+    def test_intensity_matches_the_reference_and_push(self, width, tracks):
+        streams = [x for x, _ in tracks]
+        want = [pushed(ReferenceIntensityBitizer(width), xs) for xs in streams]
+        got = stacked_emissions(IntensityBitizer, width, streams, [s for _, s in tracks])
+        assert got == want
+        assert [pushed(IntensityBitizer(width), xs) for xs in streams] == want
+
+    @given(st.lists(st.tuples(st.lists(st.floats(-1e3, 1e3), max_size=30), SPLITS),
+                    min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    @example([([0.0, 120.0, 240.0, 360.0, -120.0, 60.0, 300.0], [2])])  # the ties
+    def test_hue_matches_the_reference_and_push(self, tracks):
+        def near_red(h):
+            red, blue = (min(abs(h - r) % 360.0, 360.0 - abs(h - r) % 360.0) for r in (0.0, 240.0))
+            return int(red < blue)
+
+        streams = [x for x, _ in tracks]
+        want = [[[near_red(h)] for h in xs] for xs in streams]
+        assert stacked_emissions(HueBitizer, 12, streams, [s for _, s in tracks]) == want
+        assert [pushed(HueBitizer(), xs) for xs in streams] == want
+
+    @pytest.mark.parametrize("cls", [IntensityBitizer, HueBitizer])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused_on_both_paths(self, cls, bad):
+        first, second = cls(4), cls(4)
+        with pytest.raises(ValueError, match="finite"):
+            cls.bitize([first, second], [[20.0, 100.0, 20.0], [100.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            cls(4).push(bad)
+        # a refused pass leaves every bitizer as it was
+        stream = [20.0, 100.0, 20.0, 100.0, 100.0, 20.0]
+        assert pushed(first, stream) == pushed(cls(4), stream)
+
+    def test_window_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="window_len"):
+            IntensityBitizer.bitize([IntensityBitizer(4), IntensityBitizer(5)], [[1.0], [2.0]])
 
 
 class TestDetectFlashes:
