@@ -132,7 +132,10 @@ def classify_intensity(window) -> list[int]:
 
 def _running_sum(values: np.ndarray, where: np.ndarray) -> np.ndarray:
     """Per row, the sum of the values at where, added left to right."""
-    return np.cumsum(np.where(where, values, 0.0), axis=1)[:, -1]
+    total = np.zeros(len(values))
+    for column in np.where(where, values, 0.0).T:  # a column per step: cheaper than cumsum
+        total += column
+    return total
 
 
 class IntensityBitizer:
