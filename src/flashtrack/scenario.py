@@ -555,7 +555,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 fs = flasher_states[sample.source]
                 # a backlog flush labels the last len(bits) samples, so flips
                 # are judged against the matching tail of channel bits
-                fs.flips += sum(b != t for b, t in zip(reversed(bits), reversed(truth)))
+                fs.flips += sum(bit != true for bit, true in zip(reversed(bits), reversed(truth)))
                 for bit in bits:
                     state = decoder.push(bit)
                     if state.vote:

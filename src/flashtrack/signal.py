@@ -76,7 +76,7 @@ def classify_hue(hues) -> list[int]:
     The midpoint (120 degrees either way) ties toward 0. Raises ValueError
     on a hue that is not finite.
     """
-    return _hue_bits(np.asarray(hues, dtype=float)).tolist()
+    return _hue_bits(np.fromiter(hues, dtype=float)).tolist()
 
 
 def _hue_bits(h: np.ndarray) -> np.ndarray:
@@ -119,7 +119,7 @@ def classify_intensity(window) -> list[int]:
     NoTransitionError on a flat window (legal codes always transition),
     and ValueError on a sample that is not finite.
     """
-    x = np.asarray(window, dtype=float).reshape(1, -1)
+    x = np.fromiter(window, dtype=float).reshape(1, -1)
     if x.shape[1] < 2:
         raise ValueError("window must hold at least 2 samples")
     if not np.isfinite(x).all():
