@@ -40,13 +40,13 @@ from .codec import (
     indel_distance,
     lock_on_display,
     lock_on_time,
-    push_bit,
     render_lockon_table,
 )
 from .pose import (
     CameraIntrinsics,
     DegenerateConfigurationError,
     InsufficientDataError,
+    Fixes,
     Pose,
     pose_error,
     project,
@@ -81,6 +81,7 @@ __all__ = [
     "DegenerateConfigurationError",
     "Detection",
     "EmitterState",
+    "Fixes",
     "FlashSample",
     "HueBitizer",
     "InsufficientDataError",
@@ -114,7 +115,6 @@ __all__ = [
     "noisify",
     "pose_error",
     "project",
-    "push_bit",
     "read_trace_csv",
     "render_lockon_table",
     "render_samples",

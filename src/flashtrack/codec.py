@@ -12,21 +12,20 @@ Lock-on requires a run of consecutive identical nonzero votes. Initial
 tables lock on the first vote. Robust tables need a run of 3: windows
 that straddle a duplication or deletion are two edits away from any
 clean rotation, and such a window can land on a slot legitimately
-claimed by a different word. Exhaustive sweeps over every word, phase,
-and single error for n <= 12 show those alias votes never persist for
-more than 2 consecutive steps, so a run of 3 is the smallest threshold
-that never locks onto the wrong identifier; a clean stream still locks
-within n+2 bits. The lock is the state's identifier: 0 until the rule
-fires, then the voted identifier for good; a new stream takes a fresh
-decoder.
+claimed by a different word. Exhaustive sweeps over every word, phase
+and single error cover only n <= 12: there alias votes never last more
+than 2 steps, so a run of 3 never locks onto the wrong identifier, and a
+clean stream locks within n+2 bits. From n = 13 a deletion before the
+first lock can lock wrong (F1, ROADMAP item 1). The lock is the state's
+identifier: 0 until the rule fires, then the voted identifier for good;
+a new stream takes a fresh decoder.
 
-The rule lives once, in `StreamDecoder.push`; `push_bit` steps a bare
-state through it. Every sampled bit of every tracked beacon passes
-through that method, so it is kept lean: a decoder takes its table's
-constants once (n, the `LookupTable.slots` view, the n-bit and (n+1)-bit
-masks, the robust flag, the lock run), each push returns a fresh
-immutable snapshot, and lookups read `slots` live, a zero-copy view of
-the table's entries whose items are plain ints.
+The rule lives once, in `StreamDecoder.push`. Every sampled bit of every
+tracked beacon passes through that method, so it is kept lean: a decoder
+takes its table's constants once (n, the `LookupTable.slots` view, the
+n-bit and (n+1)-bit masks, the robust flag, the lock run), each push
+returns a fresh immutable snapshot, and lookups read `slots` live, a
+zero-copy view of the table's entries whose items are plain ints.
 """
 
 from __future__ import annotations
@@ -117,17 +116,6 @@ class StreamDecoder:
     @property
     def identifier(self) -> int:
         return self.state.identifier
-
-
-def push_bit(state: DecodeState, lut: LookupTable, bit: int) -> DecodeState:
-    """Feed one bit to a bare state; returns the successor state.
-
-    Pushes once through a decoder on lut set to state, so the rule is
-    `StreamDecoder.push`'s; a whole stream is cheaper through one decoder.
-    """
-    decoder = StreamDecoder(lut)
-    decoder.state = state
-    return decoder.push(bit)
 
 
 def _check_lock_on_inputs(n: int, fps: float) -> None:

@@ -27,27 +27,30 @@ solves, SVDs and exponentials run batched over the seeds still active. A
 seed stops when its step falls below round-off of its parameters
 (STEP_RTOL), when the Gauss-Newton model predicts a negligible relative
 decrease of its cost (COST_RTOL), or after MAX_RETRIES rejected steps in
-a row. Trial poses stay raw (R, t) arrays; only the returned pose is
-built, and checked, as a Pose.
+a row. Poses stay raw (R, t) arrays: solve_pnp builds only its result as
+a Pose, and solve_pnp_frames builds none.
 
-A run's poses come from solve_pnp_frames. Its frames of six or more
-points ignore their start, so they do not depend on each other: they are
-grouped by point count and solved in stacks of at most FRAME_CHUNK
-frames, through one batched DLT and one refinement. Frames of four or
-five points follow in order, each handed the previous frame's result as
-its start. The batch is exact, not an approximation: every batched step
-acts on each seed's own matrices with the LAPACK and BLAS call that seed
-would get alone, and reductions run along each seed's own axis, so a
-frame's pose is bitwise the one solve_pnp gives it, whatever shares its
-stack. A singular damped system makes numpy's batched solve raise for the
-whole stack; the stack is then solved seed by seed and only the singular
-seed takes the least-norm (pinv) step, so that one frame's pose never
-depends on which other frames share its batch.
+A run's poses come from solve_pnp_frames, as one Fixes record of arrays.
+Its frames of six or more points ignore their start, so they do not
+depend on each other: they are grouped by point count and solved in
+stacks of at most FRAME_CHUNK frames, through one batched DLT and one
+refinement. Frames of four or five points follow in order, each handed
+the previous frame's fix as its start. Every fix takes Pose's
+rigid-transform check, as one stacked call. The batch is exact, not an
+approximation: every batched step acts on each seed's own matrices with
+the LAPACK and BLAS call that seed would get alone, and reductions run
+along each seed's own axis, so a frame's pose is bitwise the one
+solve_pnp gives it, whatever shares its stack. A singular damped system
+makes numpy's batched solve raise for the whole stack; the stack is then
+solved seed by seed and only the singular seed takes the least-norm
+(pinv) step, so that one frame's pose never depends on which other
+frames share its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +66,9 @@ MAX_RETRIES = 8
 WARM_RMS_PX = 1.0
 
 ORTHONORMALITY_TOL = 1e-10
+# log_so3(exp_so3(w)) is w to 3e-11 rad up to a turn of pi - HALF_TURN_MARGIN, 2e-9 rad
+# at pi - 1e-3, 0.27 rad at pi - 1e-7, and 0 at pi (TestHelpers in tests/test_pose.py)
+HALF_TURN_MARGIN = 1e-2
 # most frames of one point count solve_pnp_frames refines as one stack; it
 # bounds the stack's arrays and leaves every result as it is
 FRAME_CHUNK = 256
@@ -134,6 +140,19 @@ class CameraIntrinsics:
         return seen
 
 
+def _check_rigid(rotation: np.ndarray, translation: np.ndarray) -> None:
+    """Raise ValueError unless each pose of a stack (..., 3, 3), (..., 3) is rigid."""
+    # a NaN fails each test; huge or non-finite entries fail it without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(rotation @ rotation.swapaxes(-1, -2) - np.eye(3))
+    if not (gap <= ORTHONORMALITY_TOL).all():
+        raise ValueError("rotation is not orthonormal")
+    if not (np.abs(np.linalg.det(rotation) - 1.0) <= ORTHONORMALITY_TOL).all():
+        raise ValueError("rotation determinant is not +1")
+    if not np.isfinite(translation).all():
+        raise ValueError("translation is not finite")
+
+
 @dataclass(frozen=True)
 class Pose:
     """World-to-camera rigid transform."""
@@ -146,16 +165,7 @@ class Pose:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        # written so that a NaN fails each test; huge or non-finite entries
-        # fail it without an overflow or invalid-value warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            orthonormal = np.abs(r @ r.T - np.eye(3)).max() <= ORTHONORMALITY_TOL
-        if not orthonormal:
-            raise ValueError("rotation is not orthonormal")
-        if not abs(np.linalg.det(r) - 1.0) <= ORTHONORMALITY_TOL:
-            raise ValueError("rotation determinant is not +1")
-        if not np.isfinite(t).all():
-            raise ValueError("translation is not finite")
+        _check_rigid(r, t)
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -253,11 +263,6 @@ def reprojection_residuals(K, pose, points, pixels) -> np.ndarray:
     return (K.pixels(pose.transform(points)) - pixels).reshape(-1)
 
 
-def reprojection_jacobian(K, pose, points) -> np.ndarray:
-    """Jacobian of the residuals over (rotation increment, translation)."""
-    return K.jacobian(pose.transform(points))
-
-
 def _normal_equations(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     jt = jac.swapaxes(-1, -2)
     return jt @ jac, (jt @ res[..., None])[..., 0]
@@ -343,18 +348,24 @@ def _refine_stack(K, rot, trans, points, pixels):
         steps = steps + ok
 
 
-def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
+class Fixes(NamedTuple):
+    """The world-to-camera fix of each frame of a run, NaN where not solved."""
+
+    rotation: np.ndarray  # (F, 3, 3)
+    translation: np.ndarray  # (F, 3)
+    solved: np.ndarray  # (F,) bool
+
+
+def _dlt_stack(K, points, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """solve_pnp of each 6+ point problem of a stack (F, m, 3), (F, m, 2).
 
     A direct linear transform gives each problem's start, refined as one
-    stack. None where solve_pnp raises DegenerateConfigurationError:
+    stack. Returns the indices solved, with their rotations and
+    translations; the rest are where solve_pnp raises DegenerateConfigurationError:
     coplanar points, no start (the projection's depth row has no positive
     finite norm), or a start with a point behind the camera.
     """
-    poses: list[Pose | None] = [None] * len(points)
     kept = np.flatnonzero(~_coplanar(points))
-    if not kept.size:
-        return poses
     points, pixels = points[kept], pixels[kept]
     u, v = np.moveaxis(K.rays(pixels), -1, 0)
     f, m = points.shape[:2]
@@ -378,9 +389,7 @@ def _dlt_stack_poses(K, points, pixels) -> list[Pose | None]:
     kept, points, pixels = kept[started], points[started], pixels[started]
     front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
     rot, trans, _ = _refine_stack(K, rot[front], trans[front], points[front], pixels[front])
-    for i, r, t in zip(kept[front], rot, trans):
-        poses[i] = Pose(r, t)
-    return poses
+    return kept[front], rot, trans
 
 
 # fan rotations: the identity and quarter turns about z, x, y and the body diagonal
@@ -401,6 +410,25 @@ def _seed_poses(points) -> tuple[np.ndarray, np.ndarray]:
     return rot, trans
 
 
+def _solve_few(K, points, pixels, start) -> tuple[np.ndarray, np.ndarray]:
+    """solve_pnp of 4 or 5 points on raw arrays: start is an (R, t) pair or None."""
+    if _coplanar(points):
+        raise DegenerateConfigurationError("points are coplanar")
+    if start is not None:
+        rot, trans = start[0][None], start[1][None]
+        if (_camera(rot, trans, points)[..., 2] > 0).all():
+            rot, trans, cost = _refine_stack(K, rot, trans, points, pixels)
+            if cost[0] <= 2 * len(points) * WARM_RMS_PX**2:
+                return rot[0], trans[0]
+    rot, trans = _seed_poses(points)
+    front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
+    if not front.any():
+        raise DegenerateConfigurationError("no candidate kept all points in front")
+    rot, trans, cost = _refine_stack(K, rot[front], trans[front], points, pixels)
+    best = int(np.argmin(cost))  # first seed wins a tie
+    return rot[best], trans[best]
+
+
 def solve_pnp(K: CameraIntrinsics, points, pixels, start: Pose | None = None) -> Pose:
     """Pose minimizing squared reprojection error over the given pairs.
 
@@ -413,59 +441,45 @@ def solve_pnp(K: CameraIntrinsics, points, pixels, start: Pose | None = None) ->
     start=None.
     """
     points, pixels = _correspondences(points, pixels)
-    if _coplanar(points):
-        raise DegenerateConfigurationError("points are coplanar")
-
-    if len(points) >= 6:
-        pose = _dlt_stack_poses(K, points[None], pixels[None])[0]
-        if pose is None:
-            raise DegenerateConfigurationError(
-                "no DLT start: its depth row is zero or not finite, or a point is behind")
-        return pose
-    if start is not None:
-        rot, trans = start.rotation[None], start.translation[None]
-        if (_camera(rot, trans, points)[..., 2] > 0).all():
-            rot, trans, cost = _refine_stack(K, rot, trans, points, pixels)
-            if cost[0] <= 2 * len(points) * WARM_RMS_PX**2:
-                return Pose(rot[0], trans[0])
-    rot, trans = _seed_poses(points)
-    front = (_camera(rot, trans, points)[..., 2] > 0).all(axis=-1)
-    if not front.any():
-        raise DegenerateConfigurationError("no candidate kept all points in front")
-    rot, trans, cost = _refine_stack(K, rot[front], trans[front], points, pixels)
-    best = int(np.argmin(cost))  # first seed wins a tie
-    return Pose(rot[best], trans[best])
+    if len(points) < 6:
+        start = None if start is None else (start.rotation, start.translation)
+        return Pose(*_solve_few(K, points, pixels, start))
+    solved, rot, trans = _dlt_stack(K, points[None], pixels[None])
+    if not solved.size:
+        raise DegenerateConfigurationError(
+            "points are coplanar" if _coplanar(points) else
+            "no DLT start: its depth row is zero or not finite, or a point is behind")
+    return Pose(rot[0], trans[0])
 
 
-def solve_pnp_frames(K: CameraIntrinsics, frames) -> list[Pose | None]:
-    """solve_pnp over a run of frames, each (points, pixels) or None.
+def solve_pnp_frames(K: CameraIntrinsics, frames) -> Fixes:
+    """solve_pnp over a run of frames, each (points, pixels) or None, as one Fixes record.
 
-    Gives what a loop of solve_pnp(K, points, pixels, start=previous
-    result) gives, bitwise: a Pose per frame, or None for a None frame and
-    where solve_pnp raises DegenerateConfigurationError. Frames of 6 or
-    more points ignore their start, so they are solved first, stacked by
-    point count in chunks of at most FRAME_CHUNK; frames of 4 or 5 points
-    follow in order, each started from the previous frame's result.
+    Bitwise what a loop of solve_pnp(K, points, pixels, start=previous fix)
+    gives: a frame is unsolved where it is None or solve_pnp raises
+    DegenerateConfigurationError, and a fix that is not a rigid transform
+    raises Pose's ValueError.
     """
     problems = [None if f is None else _correspondences(*f) for f in frames]
-    poses: list[Pose | None] = [None] * len(problems)
-    stacks: dict[int, list[int]] = {}
-    for i, problem in enumerate(problems):
-        if problem is not None and len(problem[0]) >= 6:
-            stacks.setdefault(len(problem[0]), []).append(i)
-    for stack in stacks.values():
+    sizes = np.array([0 if problem is None else len(problem[0]) for problem in problems])
+    rotation = np.full((len(problems), 3, 3), np.nan)
+    translation, solved = np.full((len(problems), 3), np.nan), np.zeros(len(problems), dtype=bool)
+    for m in np.unique(sizes[sizes >= 6]):
+        stack = np.flatnonzero(sizes == m)
         for lo in range(0, len(stack), FRAME_CHUNK):
             chunk = stack[lo : lo + FRAME_CHUNK]
             points, pixels = (np.stack(a) for a in zip(*(problems[i] for i in chunk)))
-            for i, pose in zip(chunk, _dlt_stack_poses(K, points, pixels)):
-                poses[i] = pose
-    for i, problem in enumerate(problems):
-        if problem is not None and len(problem[0]) < 6:
-            try:
-                poses[i] = solve_pnp(K, *problem, start=poses[i - 1] if i else None)
-            except DegenerateConfigurationError:
-                pass
-    return poses
+            done, rot, trans = _dlt_stack(K, points, pixels)
+            rotation[chunk[done]], translation[chunk[done]], solved[chunk[done]] = rot, trans, True
+    for i in np.flatnonzero((sizes == 4) | (sizes == 5)):
+        start = (rotation[i - 1], translation[i - 1]) if i and solved[i - 1] else None
+        try:
+            rotation[i], translation[i] = _solve_few(K, *problems[i], start)
+            solved[i] = True
+        except DegenerateConfigurationError:
+            pass
+    _check_rigid(rotation[solved], translation[solved])
+    return Fixes(rotation, translation, solved)
 
 
 def _correspondences(points, pixels) -> tuple[np.ndarray, np.ndarray]:

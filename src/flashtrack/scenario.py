@@ -163,7 +163,7 @@ FIELDS = {
     },
     "trajectory": [{  # at least one knot, times strictly increasing
         "t_s": Field(float),
-        "rotation": Field(float, length=9),  # row-major, orthonormal, determinant +1
+        "rotation": Field(float, length=9),  # row-major, rigid, under a half turn from the last
         "translation_m": COORDINATES,
     }],
     "heartbeat": {
@@ -263,6 +263,14 @@ class ScenarioConfig:
             errors.append("trajectory: at least one pose required")
         elif any(b[0] <= a[0] for a, b in zip(trajectory, trajectory[1:])):
             errors.append("trajectory: knot times must be strictly increasing")
+        if len(trajectory) == len(v["trajectory"]):  # each knot named by its index
+            # log_so3 loses the geodesic between two knots this near a half turn
+            for i, ((_, a), (_, b)) in enumerate(zip(trajectory, trajectory[1:]), 1):
+                turn = pose_mod.rotation_angle(b.rotation @ a.rotation.T)
+                if not turn <= math.pi - pose_mod.HALF_TURN_MARGIN:
+                    errors.append(f"trajectory[{i}].rotation: turns {turn:.9g} rad from "
+                                  f"trajectory[{i - 1}], within {pose_mod.HALF_TURN_MARGIN:g} "
+                                  "rad of a half turn")
         sensor = None
         try:
             sensor = channel.SensorTiming(*camera["sensor"].values())
@@ -571,41 +579,33 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 if ident:  # of two tracks voting one identifier, the later one's pixel
                     frame_ids[ident] = sample.pixel
 
+            per_frame.append({"frame": frame, "t_s": t, "detections": len(detections),
+                              "identified": sorted(frame_ids)})
             # pose from identified flashers with known map positions
-            frame_entry: dict = {
-                "frame": frame,
-                "t_s": t,
-                "detections": len(detections),
-                "identified": sorted(frame_ids),
-            }
             usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
             correspondences.append(
                 (np.array([u[0] for u in usable]), np.array([u[1] for u in usable]))
                 if len(usable) >= 4 else None
             )
-            per_frame.append(frame_entry)
 
         tracked = {key: tracked[key] for key in [(tr.track_id, tr.samples[0].t) for tr in tracks]}
 
-    # every fix scored against its true pose in one stacked pass
+    # every fix scored against its true pose in one stacked pass, NaN where unsolved
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)
     rot, trans = (np.concatenate(a) for a in zip(*truths))
-    posed = [f for f, est in enumerate(fixes) if est is not None]
-    rad, metres = pose_mod.pose_errors(
-        np.array([fixes[f].rotation for f in posed]).reshape(-1, 3, 3),
-        np.array([fixes[f].translation for f in posed]).reshape(-1, 3),
-        rot[posed], trans[posed])
-    errors = dict(zip(posed, zip(rad.tolist(), metres.tolist())))
-    for f, (frame_entry, problem, est) in enumerate(zip(per_frame, correspondences, fixes)):
-        r_err, t_err = errors.get(f, (None, None))
+    rad, metres = pose_mod.pose_errors(fixes.rotation, fixes.translation, rot, trans)
+    rows = zip(per_frame, correspondences, fixes.solved.tolist(),
+               fixes.rotation.reshape(-1, 9).tolist(), fixes.translation.tolist(),
+               rad.tolist(), metres.tolist())
+    for f, (frame_entry, problem, solved, est_rot, est_trans, r_err, t_err) in enumerate(rows):
         frame_entry.update(
-            pose=None if est is None else {
-                "rotation": [round(v, 15) for v in est.rotation.ravel().tolist()],
-                "translation_m": [round(v, 15) for v in est.translation.tolist()],
-            },
-            degenerate=problem is not None and est is None,
-            rotation_error_rad=r_err,
-            translation_error_m=t_err,
+            pose={
+                "rotation": [round(v, 15) for v in est_rot],
+                "translation_m": [round(v, 15) for v in est_trans],
+            } if solved else None,
+            degenerate=problem is not None and not solved,
+            rotation_error_rad=r_err if solved else None,
+            translation_error_m=t_err if solved else None,
         )
         if debug_truth:
             frame_entry["truth_pose"] = {
@@ -613,23 +613,19 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 "translation_m": trans[f].tolist(),
             }
 
-    per_flasher = []
-    for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):
-        per_flasher.append(
-            {
-                "flasher": k,
-                "identifier": identifiers[k],
-                "scheme": spec.scheme,
-                "lock_on_frame": fs.lock_on_frame,
-                "lock_on_time_s": fs.lock_on_time_s,
-                "identifier_decoded": fs.identifier_decoded,
-                "locked_identifier": fs.locked_identifier,
-                "id_accuracy": (fs.votes_ok / fs.votes) if fs.votes else None,
-                "insertions": fs.insertions,
-                "deletions": fs.deletions,
-                "flips": fs.flips,
-            }
-        )
+    per_flasher = [{
+        "flasher": k,
+        "identifier": identifiers[k],
+        "scheme": spec.scheme,
+        "lock_on_frame": fs.lock_on_frame,
+        "lock_on_time_s": fs.lock_on_time_s,
+        "identifier_decoded": fs.identifier_decoded,
+        "locked_identifier": fs.locked_identifier,
+        "id_accuracy": (fs.votes_ok / fs.votes) if fs.votes else None,
+        "insertions": fs.insertions,
+        "deletions": fs.deletions,
+        "flips": fs.flips,
+    } for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states))]
 
     posed = [f for f in per_frame if f["pose"] is not None]
     summary = {

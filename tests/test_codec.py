@@ -19,7 +19,6 @@ from flashtrack.codec import (
     indel_distance,
     lock_on_display,
     lock_on_time,
-    push_bit,
     render_lockon_table,
 )
 from flashtrack.codec import DecodeState
@@ -81,15 +80,18 @@ def reference_push_bit(state: ReferenceState, lut, bit: int) -> ReferenceState:
 
 
 def assert_matches_reference(lut, bits) -> list:
-    """Step push_bit, one StreamDecoder and the reference side by side.
+    """Step a bare state, one StreamDecoder and the reference side by side.
 
-    Every field of every state must agree; push_bit starts each step
-    from a bare state, the decoder carries its own across the stream.
+    Every field of every state must agree; the bare state takes each step
+    through a fresh decoder set to it, the decoder carries its own across
+    the stream.
     """
     state, ref, states = DecodeState(), ReferenceState(), []
     decoder = StreamDecoder(lut)
     for b in bits:
-        state, ref = push_bit(state, lut, b), reference_push_bit(ref, lut, b)
+        stepper = StreamDecoder(lut)
+        stepper.state = state
+        state, ref = stepper.push(b), reference_push_bit(ref, lut, b)
         pushed = decoder.push(b)
         assert tuple(state) == dataclasses.astuple(ref)[1:], (lut.n, lut.mode, bits)
         assert pushed == state and type(pushed) is DecodeState, (lut.n, lut.mode, bits)
@@ -152,10 +154,9 @@ class TestReferenceStream:
 class TestPushBit:
     def test_bits_consumed_counts(self, robust_books):
         _, lut = robust_books[4]
-        state = DecodeState()
+        decoder = StreamDecoder(lut)
         for k, b in enumerate("0111", start=1):
-            state = push_bit(state, lut, int(b))
-            assert state.bits_consumed == k
+            assert decoder.push(int(b)).bits_consumed == k
 
     def test_lock_requires_agreement_run_in_robust_mode(self, robust_books):
         _, lut = robust_books[4]
@@ -216,7 +217,7 @@ def decoder_streams(draw):
 
 
 class TestMatchesReference:
-    """push_bit against the plain reference step, state for state."""
+    """StreamDecoder.push against the plain reference step, state for state."""
 
     @given(decoder_streams())
     @settings(max_examples=300, deadline=None)

@@ -14,7 +14,6 @@ from flashtrack.pose import (
     pose_error,
     project,
     project_points,
-    reprojection_jacobian,
     reprojection_residuals,
     rotation_angle,
     solve_pnp,
@@ -417,7 +416,7 @@ class TestJacobian:
         pix = np.array([project(K, pose, p) for p in pts]) + rng.normal(
             0, 0.5, (8, 2)
         )
-        jac = reprojection_jacobian(K, pose, pts)
+        jac = K.jacobian(pose.transform(pts))
         eps = 1e-6
         num = np.zeros_like(jac)
         for k in range(6):
@@ -446,6 +445,22 @@ class TestHelpers:
             w = rng.normal(0.0, 1.0, 3)
             w *= rng.uniform(1e-6, np.pi - 1e-3) / np.linalg.norm(w)
             assert np.allclose(log_so3(exp_so3(w)), w, rtol=0.0, atol=1e-9)
+
+    def test_log_inverts_exp_up_to_the_half_turn_margin(self):
+        """The measurement behind HALF_TURN_MARGIN: the round trip's worst error
+        over 2,006 axes at each turn, against 1e-9 rad."""
+        rng = np.random.default_rng(0)
+        axes = rng.normal(size=(2000, 3))
+        axes = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True), np.eye(3), -np.eye(3)])
+
+        def worst(angle):
+            return max(np.abs(log_so3(exp_so3(w)) - w).max() for w in axes * angle)
+
+        assert worst(np.pi - pose.HALF_TURN_MARGIN) < 1e-10  # 2.6e-11 measured
+        assert worst(np.pi - 1e-3) > 1e-9  # 2.2e-9
+        assert worst(np.pi - 1e-7) > 0.1  # 0.27
+        # a half turn logs as no turn at all
+        assert np.abs(log_so3(np.diag([1.0, -1.0, -1.0]))).max() < 1e-15
 
     def test_log_of_identity_is_zero(self):
         assert np.array_equal(log_so3(np.eye(3)), np.zeros(3))
@@ -515,6 +530,11 @@ def frame_sequence(count=15, seed=9):
     return frames
 
 
+def fix_list(fixes: pose.Fixes) -> list:
+    """Each frame's fix of a Fixes record as a Pose, or None where unsolved."""
+    return [Pose(r, t) if ok else None for r, t, ok in zip(*fixes)]
+
+
 def assert_same_poses(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -529,30 +549,64 @@ class TestSolvePnpFrames:
     def test_matches_a_warm_started_loop_bitwise(self):
         frames = frame_sequence()
         got = pose.solve_pnp_frames(K, frames)
-        assert_same_poses(got, solve_loop(K, frames))
+        assert type(got) is pose.Fixes and got.solved.dtype == bool
+        assert got.rotation.shape == (15, 3, 3) and got.translation.shape == (15, 3)
+        assert_same_poses(fix_list(got), solve_loop(K, frames))
+        assert np.isnan(got.rotation[~got.solved]).all()
+        assert np.isnan(got.translation[~got.solved]).all()
         kinds = [None if f is None else len(f[0]) for f in frames]
         # every kind of frame is there: a result for each point count, and
-        # None for the coplanar frame and the one the DLT leaves behind the camera
-        assert {m for m, p in zip(kinds, got) if p is not None} == {4, 5, 6, 7, 8}
-        assert got[7] is None and got[9] is None and kinds[7] == 6 and kinds[9] == 7
+        # none for the coplanar frame and the one the DLT leaves behind the camera
+        assert {m for m, ok in zip(kinds, got.solved) if ok} == {4, 5, 6, 7, 8}
+        assert not got.solved[7] and not got.solved[9] and kinds[7] == 6 and kinds[9] == 7
         # the 5-point frame after the coplanar one starts cold, others warm
-        assert got[6] is not None and got[8] is not None
+        assert got.solved[6] and got.solved[8]
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_chunking_leaves_the_results(self, monkeypatch, chunk):
         frames = frame_sequence(count=40, seed=10)
-        want = pose.solve_pnp_frames(K, frames)
+        want = fix_list(pose.solve_pnp_frames(K, frames))
         monkeypatch.setattr(pose, "FRAME_CHUNK", chunk)
-        assert_same_poses(pose.solve_pnp_frames(K, frames), want)
+        assert_same_poses(fix_list(pose.solve_pnp_frames(K, frames)), want)
+        assert_same_poses(want, solve_loop(K, frames))
 
     def test_empty_run_and_frames_without_points(self):
-        assert pose.solve_pnp_frames(K, []) == []
-        assert pose.solve_pnp_frames(K, [None, None]) == [None, None]
+        empty = pose.solve_pnp_frames(K, [])
+        assert empty.rotation.shape == (0, 3, 3) and empty.translation.shape == (0, 3)
+        assert empty.solved.shape == (0,)
+        assert fix_list(pose.solve_pnp_frames(K, [None, None])) == [None, None]
 
     def test_too_few_points_raise(self):
         pts = cube_points()[:3]
         with pytest.raises(InsufficientDataError):
             pose.solve_pnp_frames(K, [None, (pts, np.zeros((3, 2)))])
+
+
+    @pytest.mark.parametrize("points", [5, 8])
+    @pytest.mark.parametrize("fault, message", [
+        ("translation", "translation is not finite"),
+        ("rotation", "rotation is not orthonormal"),
+    ])
+    def test_a_fix_that_is_not_rigid_raises_on_both_paths(self, monkeypatch, points, fault,
+                                                          message):
+        """A refined pose that is not a rigid transform raises Pose's ValueError
+        from solve_pnp and from solve_pnp_frames alike."""
+        refine = pose._refine_stack
+
+        def broken(*args):
+            rot, trans, cost = refine(*args)
+            if fault == "translation":
+                return rot, np.full_like(trans, np.nan), cost
+            return 2.0 * rot, trans, cost
+
+        monkeypatch.setattr(pose, "_refine_stack", broken)
+        pts, pix = TestRefinement().five_point_problem() if points == 5 else (
+            next(f for f in frame_sequence() if f is not None and len(f[0]) == 8))
+        for solve in (lambda: solve_pnp(K, pts, pix),
+                      lambda: pose.solve_pnp_frames(K, [None, (pts, pix)])):
+            with pytest.raises(ValueError, match=f"^{message}$") as exc:
+                solve()
+            assert type(exc.value) is ValueError
 
 
 class TestStackedRefinement:

@@ -319,21 +319,37 @@ class TestScenarioCube:
 
         def recording_solve_frames(K, frames):
             fixes = solve_frames(K, frames)
-            starts = [None] + fixes[:-1]
-            # only solves that gave a pose, with the start each was handed
+            started = [False] + fixes.solved[:-1].tolist()
+            # only solves that gave a pose, with whether each was handed a start
             calls.extend((K, *frame, start)
-                         for frame, fix, start in zip(frames, fixes, starts) if fix is not None)
+                         for frame, solved, start in zip(frames, fixes.solved, started) if solved)
             return fixes
 
         monkeypatch.setattr(pose_mod, "solve_pnp_frames", recording_solve_frames)
         report = run(ScenarioConfig.from_dict(raw))
         posed = [f["pose"] for f in report.per_frame if f["pose"] is not None]
         assert len(posed) == len(calls)
-        assert sum(len(c[1]) == 5 and c[3] is not None for c in calls) >= 10
+        assert sum(len(c[1]) == 5 and c[3] for c in calls) >= 10
         for (K, points, pixels, _), got in zip(calls, posed):
             cold = pose_mod.solve_pnp(K, points, pixels)
             assert np.abs(np.array(got["rotation"]) - cold.rotation.ravel()).max() < 1e-9
             assert np.abs(np.array(got["translation_m"]) - cold.translation).max() < 1e-9
+
+    @pytest.mark.parametrize("swing", [False, True])
+    def test_run_builds_no_pose(self, monkeypatch, swing):
+        # the swing leaves 5 corners in view, so 4-5 point fixes are warm-started
+        raw = cube_config(duration=2.0 if swing else 0.65)
+        if swing:
+            turn = exp_so3([0.0, -0.42, 0.0]) @ exp_so3([0.0, 0.0, 0.45])
+            raw["trajectory"].append({"t_s": 1.6, "rotation": turn.T.ravel().tolist(),
+                                      "translation_m": (turn.T @ [0.0, 0.0, 4.0]).tolist()})
+        config = ScenarioConfig.from_dict(raw)
+        built, post_init = [], Pose.__post_init__
+        monkeypatch.setattr(Pose, "__post_init__", lambda p: built.append(p) or post_init(p))
+        report = run(config)
+        assert built == []
+        sizes = {len(f["identified"]) for f in report.per_frame if f["pose"] is not None}
+        assert sizes == ({5, 6, 7, 8} if swing else {8})
 
     @given(
         kind=st.sampled_from(["ccd", "cmos"]),
@@ -426,6 +442,28 @@ class TestScenarioConfig:
         ]
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("turn", [
+        np.diag([1.0, -1.0, -1.0]),
+        exp_so3([0.0, 0.0, np.pi - 1e-9]),
+        exp_so3([0.0, 0.0, np.pi - pose_mod.HALF_TURN_MARGIN / 2]),
+    ])
+    def test_half_turn_between_knots_refused(self, turn):
+        # the log of a half turn is 0 and near one it is lost, so the segment
+        # would play as if the camera held still, or spin wildly
+        raw = cube_config()
+        raw["trajectory"] = [{"t_s": float(i), "rotation": r.ravel().tolist(),
+                              "translation_m": [0.0, 0.0, 4.0]}
+                             for i, r in enumerate([np.eye(3), np.eye(3), turn])]
+        with pytest.raises(ConfigError, match=r"trajectory\[2\].rotation: turns 3\.1[34]\d* rad "
+                           r"from trajectory\[1\], within 0.01 rad of a half turn"):
+            ScenarioConfig.from_dict(raw)
+        # a turn just inside the margin is taken, and interpolated through its middle
+        inside = exp_so3([0.0, 0.0, np.pi - 2 * pose_mod.HALF_TURN_MARGIN])
+        raw["trajectory"][2]["rotation"] = inside.ravel().tolist()
+        config = ScenarioConfig.from_dict(raw)
+        rot, _ = scenario.interpolate_poses(config.trajectory, [1.5])
+        assert pose_mod.rotation_angle(rot[0]) == pytest.approx(np.pi / 2 - 1e-2, abs=1e-9)
 
     @pytest.mark.parametrize("period", [None, 0.0, -1.0, float("nan"), float("inf")])
     def test_enabled_heartbeat_needs_positive_period(self, period):
