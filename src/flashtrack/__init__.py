@@ -46,7 +46,6 @@ from .pose import (
     CameraIntrinsics,
     DegenerateConfigurationError,
     InsufficientDataError,
-    Fixes,
     Pose,
     pose_error,
     project,
@@ -81,7 +80,6 @@ __all__ = [
     "DegenerateConfigurationError",
     "Detection",
     "EmitterState",
-    "Fixes",
     "FlashSample",
     "HueBitizer",
     "InsufficientDataError",

@@ -613,25 +613,28 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 "translation_m": trans[f].tolist(),
             }
 
-    per_flasher = [{
-        "flasher": k,
-        "identifier": identifiers[k],
-        "scheme": spec.scheme,
-        "lock_on_frame": fs.lock_on_frame,
-        "lock_on_time_s": fs.lock_on_time_s,
-        "identifier_decoded": fs.identifier_decoded,
-        "locked_identifier": fs.locked_identifier,
-        "id_accuracy": (fs.votes_ok / fs.votes) if fs.votes else None,
-        "insertions": fs.insertions,
-        "deletions": fs.deletions,
-        "flips": fs.flips,
-    } for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states))]
+    per_flasher = []
+    for k, (spec, fs) in enumerate(zip(config.flashers, flasher_states)):
+        per_flasher.append(
+            {
+                "flasher": k,
+                "identifier": identifiers[k],
+                "scheme": spec.scheme,
+                "lock_on_frame": fs.lock_on_frame,
+                "lock_on_time_s": fs.lock_on_time_s,
+                "identifier_decoded": fs.identifier_decoded,
+                "locked_identifier": fs.locked_identifier,
+                "id_accuracy": (fs.votes_ok / fs.votes) if fs.votes else None,
+                "insertions": fs.insertions,
+                "deletions": fs.deletions,
+                "flips": fs.flips,
+            }
+        )
 
-    posed = [f for f in per_frame if f["pose"] is not None]
     summary = {
         "frames": len(per_frame),
-        "pose_rmse_m": _rms([f["translation_error_m"] for f in posed]),
-        "pose_rmse_rad": _rms([f["rotation_error_rad"] for f in posed]),
+        "pose_rmse_m": _rms(metres[fixes.solved].tolist()),
+        "pose_rmse_rad": _rms(rad[fixes.solved].tolist()),
         "max_desync_s": max_desync,
         "identified_flashers": sum(fs.lock_on_frame is not None for fs in flasher_states),
     }

@@ -451,7 +451,8 @@ class TestHelpers:
         over 2,006 axes at each turn, against 1e-9 rad."""
         rng = np.random.default_rng(0)
         axes = rng.normal(size=(2000, 3))
-        axes = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True), np.eye(3), -np.eye(3)])
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes = np.vstack([axes, np.eye(3), -np.eye(3)])
 
         def worst(angle):
             return max(np.abs(log_so3(exp_so3(w)) - w).max() for w in axes * angle)
@@ -580,7 +581,6 @@ class TestSolvePnpFrames:
         pts = cube_points()[:3]
         with pytest.raises(InsufficientDataError):
             pose.solve_pnp_frames(K, [None, (pts, np.zeros((3, 2)))])
-
 
     @pytest.mark.parametrize("points", [5, 8])
     @pytest.mark.parametrize("fault, message", [
