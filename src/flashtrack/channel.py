@@ -129,6 +129,13 @@ def heartbeat_expired(clock: ClockModel, true_time: float, timeout: float) -> bo
     return true_time - clock.last_heartbeat > timeout
 
 
+def frame_count(duration: float, fps: float) -> float:
+    """Frames a sensor at fps takes over duration, the first at 0:
+    floor(duration * fps) + 1, or inf where that product overflows."""
+    frames = duration * fps
+    return math.floor(frames) + 1 if frames < math.inf else math.inf
+
+
 def sample_time(
     sensor: SensorTiming, tracker_clock: ClockModel, frame: int, row: float = 0.0
 ) -> float:
@@ -159,18 +166,17 @@ def sample_stream(
     row_trajectory maps frame number to the image row of the flash
     (only consulted for rolling shutter). Each frame's sample_time is
     read through the flasher clock to pick the lit bit. Returns (shared
-    time, bit index, bit value) per frame. Consecutive equal indices
-    are an insertion (the same bit sampled twice), gaps are deletions.
+    time, bit index, bit value) for each of frame_count(duration, fps)
+    frames. Consecutive equal indices are an insertion (the same bit
+    sampled twice), gaps are deletions.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     out = []
-    frame = 0
-    while frame * (1.0 / sensor.fps) <= duration:
+    for frame in range(frame_count(duration, sensor.fps)):
         row = float(row_trajectory(frame)) if sensor.kind == "cmos" else 0.0
         shared = sample_time(sensor, tracker_clock, frame, row)
         out.append((shared, *emitter.bit_at_local(clock.local_time(shared))))
-        frame += 1
     return out
 
 

@@ -30,14 +30,17 @@ true poses come from one batched `interpolate_poses`, the projections from
 one `pose.project_points` call over every flasher at every frame, behind the
 camera and asleep too, and the sightings from `CameraIntrinsics.sees`.
 
-Detections are synthesized directly at the projected flash pixels (plus
-configured pixel noise) rather than rasterized into frames; each carries
-its flasher's index, so ground truth follows the flasher even where two
-share a pixel. `EmitterState.bit_at_local` runs once per flasher and chunk,
-on the frames that see it, and `channel.render_flashes` renders a chunk's
-sightings in one block, frame by frame and flasher by flasher: the order in
-which scalar draws would be made, so the chunk size moves no report. One
-seed drives all randomness, so a rerun of the same config is byte-identical.
+Sightings are synthesized directly at the projected flash pixels (plus
+configured pixel noise) rather than rasterized into frames: array rows of
+pixel, level or hue, and flasher index, so ground truth follows the flasher
+even where two share a pixel. `signal.associate` tracks them by pixel, and
+`run` keeps a row per open track: last pixel, misses, a run-local key,
+bitizer, decoder and last true bits. `EmitterState.bit_at_local` runs once
+per flasher and chunk, on the frames that see it, and
+`channel.render_flashes` renders a chunk's sightings in one block, frame by
+frame and flasher by flasher: the order in which scalar draws would be made,
+so the chunk size moves no report. One seed drives all randomness, so a
+rerun of the same config is byte-identical.
 
 A flasher is counted as identified at its track's first nonzero decode
 vote, which for a clean stream happens exactly one code cycle after
@@ -49,6 +52,7 @@ and bits lit while a flasher is out of view count as deletions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -75,7 +79,7 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; message lists offending fields."""
 
 
-#: most frames one run may play, floor(duration_s * fps) + 1, and most heartbeat
+#: most frames one run may play, channel.frame_count, and most heartbeat
 #: report entries, one per flasher and one for the tracker at each pulse
 MAX_FRAMES = 1_000_000
 #: longest frame period and exposure_mid_s in seconds, about 32 years
@@ -205,12 +209,6 @@ def _walk(spec, value, name: str, errors: list[str]):
             for key, sub in spec.items()}
 
 
-def _frame_count(duration_s: float, fps: float) -> float:
-    """Frames a run plays, floor(duration_s * fps) + 1, or inf past MAX_FRAMES."""
-    frames = duration_s / (1.0 / fps)
-    return math.floor(frames) + 1 if frames < MAX_FRAMES else math.inf
-
-
 @dataclass
 class FlasherSpec:
     position: np.ndarray
@@ -264,24 +262,18 @@ class ScenarioConfig:
         elif any(b[0] <= a[0] for a, b in zip(trajectory, trajectory[1:])):
             errors.append("trajectory: knot times must be strictly increasing")
         if len(trajectory) == len(v["trajectory"]):  # each knot named by its index
-            # log_so3 loses the geodesic between two knots this near a half turn
-            for i, ((_, a), (_, b)) in enumerate(zip(trajectory, trajectory[1:]), 1):
-                turn = pose_mod.rotation_angle(b.rotation @ a.rotation.T)
-                if not turn <= math.pi - pose_mod.HALF_TURN_MARGIN:
-                    errors.append(f"trajectory[{i}].rotation: turns {turn:.9g} rad from "
-                                  f"trajectory[{i - 1}], within {pose_mod.HALF_TURN_MARGIN:g} "
-                                  "rad of a half turn")
+            errors.extend(_half_turns(trajectory))
         sensor = None
         try:
             sensor = channel.SensorTiming(*camera["sensor"].values())
         except ValueError as exc:
             errors.append(f"camera.sensor: {exc}")
-        frames = _frame_count(v["duration_s"], camera["sensor"]["fps"])
-        if frames == math.inf:
+        frames = channel.frame_count(v["duration_s"], camera["sensor"]["fps"])
+        if frames > MAX_FRAMES:
             errors.append(f"duration_s: more than {MAX_FRAMES} frames at camera.sensor.fps")
         if hb["enabled"] and hb["period_s"] == 0.0:  # the default: none was given
             errors.append("heartbeat.period_s: missing, required when enabled")
-        elif hb["enabled"] and sensor and frames < math.inf:
+        elif hb["enabled"] and sensor and frames <= MAX_FRAMES:
             # pulses fire at 0, period_s, ... up to the last frame's instant, which only a
             # fast tracker clock moves later; each adds an entry per flasher and tracker
             fastest = channel.ClockModel(max(camera["clock_ppm"], 0.0))
@@ -312,6 +304,19 @@ class ScenarioConfig:
         )
 
 
+def _half_turns(trajectory: list[tuple[float, Pose]]) -> list[str]:
+    """A fault naming each segment that turns within HALF_TURN_MARGIN of a
+    half turn, where log_so3 loses the geodesic between its knots."""
+    faults = []
+    for i, ((_, a), (_, b)) in enumerate(zip(trajectory, trajectory[1:]), 1):
+        turn = pose_mod.rotation_angle(b.rotation @ a.rotation.T)
+        if not turn <= math.pi - pose_mod.HALF_TURN_MARGIN:
+            faults.append(f"trajectory[{i}].rotation: turns {turn:.9g} rad from "
+                          f"trajectory[{i - 1}], within {pose_mod.HALF_TURN_MARGIN:g} "
+                          "rad of a half turn")
+    return faults
+
+
 def interpolate_poses(trajectory: list[tuple[float, Pose]], times
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (F, 3, 3) and translations (F, 3) of the trajectory at times (F,).
@@ -321,8 +326,11 @@ def interpolate_poses(trajectory: list[tuple[float, Pose]], times
     the knots the last one's. Each segment's log is taken once; the
     exponential and the projection back onto rotations run over stacks of
     at most FRAME_CHUNK instants, each instant's matrices bitwise what
-    they are alone.
+    they are alone. A segment turning within HALF_TURN_MARGIN of a half
+    turn raises ValueError naming it.
     """
+    if faults := _half_turns(trajectory):
+        raise ValueError("; ".join(faults))
     times = np.asarray(times, dtype=float).reshape(-1)
     knot_t = np.array([t for t, _ in trajectory])
     knot_rot = np.array([p.rotation for _, p in trajectory])
@@ -389,14 +397,18 @@ def _rms(values: list[float]) -> float | None:
 
 
 class _Chunk(NamedTuple):
-    """What the camera senses over a run of frames, before any tracking."""
+    """What the camera senses over a run of frames, before any tracking; frame
+    f's sightings are the rows ends[f - 1]:ends[f], sorted by pixel."""
 
     times: list[float]  # each frame's shared-timeline instant
     rot: np.ndarray  # (F, 3, 3) and (F, 3): the true camera pose at each instant
     trans: np.ndarray
     indices: list[np.ndarray]  # per flasher, the bit index at each sighting
     bits: list[list[int]]  # (F, K) bit each flasher shows; read where seen
-    detections: list[list[signal.Detection]]  # per frame, sorted by pixel
+    pixels: np.ndarray  # (S, 2) each sighting's pixel
+    values: np.ndarray  # (S,) its level or hue, as the scheme reads
+    source: np.ndarray  # (S,) its flasher
+    ends: list[int]  # (F,) each frame's end row
     desync: float  # widest clock spread at any frame instant
 
 
@@ -411,7 +423,7 @@ def _frame_clocks(config: ScenarioConfig, heartbeats: list[dict]) -> Iterator[tu
     last pulses, the flashers' a (F, K) block of offsets. Pulses fired are
     appended to heartbeats.
     """
-    n_frames = _frame_count(config.duration_s, config.sensor.fps)
+    n_frames = channel.frame_count(config.duration_s, config.sensor.fps)
     n_flashers = len(config.flashers)
     tracker = channel.ClockModel(config.camera_clock_ppm)
     flashers = channel.ClockModel(np.array([f.clock_ppm for f in config.flashers]))
@@ -480,19 +492,17 @@ def _sense(config: ScenarioConfig, emitters: list[channel.EmitterState], scheme:
             at = seen[:, k]
             index[at, k], bits[at, k] = emitter.bit_at_local(taus[at, k])
 
-        # one detection per sighting at its flash pixel, each frame's sorted
-        # by pixel; the noise is drawn frame by frame, flasher by flasher
+        # one sighting at each flash pixel, each frame's sorted by pixel;
+        # the noise is drawn frame by frame, flasher by flasher
         frame_of, source = np.nonzero(seen)
         levels, hues, pixel = channel.render_flashes(
             bits[frame_of, source], scheme, rng, config.intensity_sigma, config.hue_sigma,
             config.pixel_sigma, pixels[frame_of, source])
         order = np.lexsort((pixel[:, 1], pixel[:, 0], frame_of))
-        detections = list(map(signal.Detection, map(tuple, pixel[order].tolist()),
-                              levels[order].tolist(), hues[order].tolist(), source[order].tolist()))
-        ends = np.cumsum(np.bincount(frame_of, minlength=len(frames))).tolist()
         yield _Chunk(
             base.tolist(), rot, trans, [index[seen[:, k], k] for k in range(len(emitters))],
-            bits.tolist(), [detections[a:b] for a, b in zip([0] + ends, ends)],
+            bits.tolist(), pixel[order], (levels if scheme == "intensity" else hues)[order],
+            source[order], np.cumsum(np.bincount(frame_of, minlength=len(frames))).tolist(),
             float((spread.max(axis=1) - spread.min(axis=1)).max()),
         )
 
@@ -512,11 +522,12 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
     bitizer = signal.BITIZERS[scheme]
     position_by_id = {ident: f.position for f, ident in zip(config.flashers, identifiers)}
 
-    tracks: list[signal.SampleTrace] = []
-    # by open track, keyed by track_id and first instant (associate reuses an
-    # id only for a later track): its bitizer, decoder and last n true bits
-    tracked: dict[tuple, tuple] = {}
-    voted: set[tuple] = set()  # keys of the tracks that have voted
+    # one row per open track: its last pixel and frames missed in a row, and
+    # (key, bitizer, decoder, last n true bits); keys count the run's tracks
+    last, missed = np.empty((0, 2)), np.empty(0, dtype=np.intp)
+    tracks: list[tuple] = []
+    keys = itertools.count()
+    voted: set[int] = set()  # keys of the tracks that have voted
     flasher_states = [_FlasherState() for _ in config.flashers]
     heartbeats: list[dict] = []
     per_frame: list[dict] = []
@@ -535,32 +546,36 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
             fs.deletions += deletions
             fs.last_index = sightings[-1:]
 
-        # associate, frame by frame (the causal tracker): each frame's sampled tracks in order
+        # associate, frame by frame (the causal tracker): each frame's
+        # (track, sighting) pairs, in track order
+        starts = [0] + chunk.ends[:-1]
+        pixel, value, source = chunk.pixels.tolist(), chunk.values.tolist(), chunk.source.tolist()
         sampled: list[list[tuple]] = []
-        values: dict[tuple, list[float]] = {}  # by track: its samples' values this chunk
-        for t, detections in zip(chunk.times, chunk.detections):
-            tracks = signal.associate(tracks, detections, config.gating_radius_px, t)
-            sampled.append([((tr.track_id, tr.samples[0].t), tr.samples[-1])
-                            for tr in tracks if tr.samples[-1].t == t])
-            for key, sample in sampled[-1]:
-                values.setdefault(key, []).append(getattr(sample, scheme))
-        for key in values.keys() - tracked.keys():
-            tracked[key] = (bitizer(config.book.n), codec.StreamDecoder(config.lut),
-                            deque(maxlen=config.book.n))
+        values: dict[int, tuple] = {}  # by track key: its bitizer, its values this chunk
+        for a, b in zip(starts, chunk.ends):
+            prev, took, missed, last = signal.associate(
+                last, missed, chunk.pixels[a:b], config.gating_radius_px)
+            tracks = [tracks[i] if i >= 0 else (next(keys), bitizer(config.book.n),
+                                                codec.StreamDecoder(config.lut),
+                                                deque(maxlen=config.book.n))
+                      for i in prev.tolist()]
+            sampled.append([(track, a + j) for track, j in zip(tracks, took.tolist()) if j >= 0])
+            for track, s in sampled[-1]:
+                values.setdefault(track[0], (track[1], []))[1].append(value[s])
 
         # bitize every track's new samples in one stacked pass
-        emitted = bitizer.bitize([tracked[key][0] for key in values], list(values.values()))
+        emitted = bitizer.bitize([b for b, _ in values.values()], [v for _, v in values.values()])
         emissions = {key: iter(bits) for key, bits in zip(values, emitted)}
 
-        # decode in frame order, tracks in list order, and build each frame's entry
-        for t, shown, row, detections in zip(chunk.times, chunk.bits, sampled, chunk.detections):
+        # decode in frame order, tracks in row order, and build each frame's entry
+        for t, shown, row, a, b in zip(chunk.times, chunk.bits, sampled, starts, chunk.ends):
             frame = len(per_frame)
-            frame_ids: dict[int, tuple[float, float]] = {}
-            for key, sample in row:
-                _, decoder, truth = tracked[key]
-                truth.append(shown[sample.source])
+            frame_ids: dict[int, list[float]] = {}
+            for (key, _, decoder, truth), s in row:
+                k = source[s]
+                truth.append(shown[k])
                 bits = next(emissions[key])
-                fs = flasher_states[sample.source]
+                fs = flasher_states[k]
                 # a backlog flush labels the last len(bits) samples, so flips
                 # are judged against the matching tail of channel bits
                 fs.flips += sum(bit != true for bit, true in zip(reversed(bits), reversed(truth)))
@@ -568,7 +583,7 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                     state = decoder.push(bit)
                     if state.vote:
                         fs.votes += 1
-                        fs.votes_ok += state.vote == identifiers[sample.source]
+                        fs.votes_ok += state.vote == identifiers[k]
                         if key not in voted and fs.lock_on_frame is None:
                             fs.lock_on_frame, fs.lock_on_time_s = frame, t
                             fs.identifier_decoded = state.vote
@@ -577,9 +592,9 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                         fs.locked_identifier = state.identifier
                 ident = decoder.identifier or decoder.state.vote
                 if ident:  # of two tracks voting one identifier, the later one's pixel
-                    frame_ids[ident] = sample.pixel
+                    frame_ids[ident] = pixel[s]
 
-            per_frame.append({"frame": frame, "t_s": t, "detections": len(detections),
+            per_frame.append({"frame": frame, "t_s": t, "detections": b - a,
                               "identified": sorted(frame_ids)})
             # pose from identified flashers with known map positions
             usable = [(position_by_id[i], frame_ids[i]) for i in frame_ids if i in position_by_id]
@@ -587,8 +602,6 @@ def run(config: ScenarioConfig, debug_truth: bool = False) -> ScenarioReport:
                 (np.array([u[0] for u in usable]), np.array([u[1] for u in usable]))
                 if len(usable) >= 4 else None
             )
-
-        tracked = {key: tracked[key] for key in [(tr.track_id, tr.samples[0].t) for tr in tracks]}
 
     # every fix scored against its true pose in one stacked pass, NaN where unsolved
     fixes = pose_mod.solve_pnp_frames(config.intrinsics, correspondences)

@@ -19,9 +19,10 @@ left to right, so any split of a track's samples into calls gives the same
 bits. The gate still passes some noise-only windows (F2 in
 bench/README.md); that fault is kept here, not mended.
 
-The detection half finds bright 4-connected blobs in a frame, reduces
-each to an intensity-weighted centroid, and associates detections to
-existing tracks frame over frame by nearest neighbour within a gate.
+The detection half finds bright 4-connected blobs in a frame and reduces
+each to an intensity-weighted centroid. The tracker, `associate`, is one
+frame on arrays and keeps no samples: the caller holds, per track row,
+whatever else it tracks.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class FlashSample:
     intensity: float
     hue: float
     pixel: tuple[float, float]
-    source: int | None = None  # simulated flasher index; None for real data
 
 
 @dataclass
@@ -58,16 +58,11 @@ class SampleTrace:
 
     track_id: int
     samples: list[FlashSample] = field(default_factory=list)
-    missed: int = 0
 
     def append(self, sample: FlashSample) -> None:
         if self.samples and sample.t <= self.samples[-1].t:
             raise ValueError("sample timestamps must be strictly increasing")
         self.samples.append(sample)
-
-    @property
-    def last_pixel(self) -> tuple[float, float]:
-        return self.samples[-1].pixel
 
 
 def classify_hue(hues) -> list[int]:
@@ -303,7 +298,6 @@ class Detection:
     pixel: tuple[float, float]
     intensity: float
     hue: float
-    source: int | None = None  # simulated flasher index; None for real data
 
 
 def detect_flashes(
@@ -381,59 +375,45 @@ def detect_flashes(
     return kept
 
 
-def associate(
-    tracks: list[SampleTrace],
-    detections: list[Detection],
-    gating_radius: float,
-    t: float,
-) -> list[SampleTrace]:
-    """Greedy nearest-neighbour track update.
+def associate(last, missed, pixels, gating_radius: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One frame of the greedy nearest-neighbour tracker, on arrays.
 
-    Pairs are matched closest first, matches past the gate are
-    rejected, unmatched detections open new tracks, and a track that
-    misses more than one consecutive frame is closed. Frame-to-frame
-    flash motion is small next to flash spacing, so greedy matching is
-    enough; no optimal assignment is attempted.
+    last (T, 2) holds the open tracks' last pixels and missed (T,) the
+    frames each has missed in a row; pixels (D, 2) are the frame's
+    detections. Pairs within the gate (inclusive) are matched closest
+    first, ties to the lower track, then the lower detection. A track that
+    misses more than one frame in a row closes, and each unmatched
+    detection opens a track after the survivors, in detection order.
+    Frame-to-frame flash motion is small next to flash spacing, so greedy
+    matching is enough; no optimal assignment is attempted.
+
+    Returns (prev, took, missed, last), one row per track after the frame:
+    the row of last it continues (-1: opened now), the detection it took
+    (-1: none), its frames missed in a row and its last pixel.
     """
-    open_tracks = [tr for tr in tracks if tr.samples]
-    pairs: list[tuple[int, int]] = []
-    if open_tracks and detections:
-        last = np.array([tr.last_pixel for tr in open_tracks], dtype=float)
-        pixels = np.array([det.pixel for det in detections], dtype=float)
+    last = np.asarray(last, dtype=float).reshape(-1, 2)
+    missed = np.asarray(missed).reshape(len(last)).tolist()
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    took = [-1] * len(last)
+    free = [True] * len(pixels)
+    if len(last) and len(pixels):
         dist = np.hypot(pixels[:, 0] - last[:, :1], pixels[:, 1] - last[:, 1:])
         track_i, det_j = np.nonzero(dist <= gating_radius)
         # (dist, i, j) order: closest first, ties to the lower track, then detection
         order = np.lexsort((det_j, track_i, dist[track_i, det_j]))
-        pairs = list(zip(track_i[order].tolist(), det_j[order].tolist()))
-
-    matched_tracks: set[int] = set()
-    matched_dets: set[int] = set()
-    for i, j in pairs:
-        if i in matched_tracks or j in matched_dets:
-            continue
-        matched_tracks.add(i)
-        matched_dets.add(j)
-        det = detections[j]
-        open_tracks[i].append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
-        open_tracks[i].missed = 0
-
-    survivors = []
-    for i, tr in enumerate(open_tracks):
-        if i not in matched_tracks:
-            tr.missed += 1
-            if tr.missed > 1:
-                continue
-        survivors.append(tr)
-
-    next_id = max((tr.track_id for tr in tracks), default=-1) + 1
-    for j, det in enumerate(detections):
-        if j in matched_dets:
-            continue
-        tr = SampleTrace(next_id)
-        tr.append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
-        survivors.append(tr)
-        next_id += 1
-    return survivors
+        for i, j in zip(track_i[order].tolist(), det_j[order].tolist()):
+            if took[i] < 0 and free[j]:
+                took[i], free[j] = j, False
+    # a track that misses a second frame in a row closes
+    kept = [i for i, (j, m) in enumerate(zip(took, missed)) if j >= 0 or m < 1]
+    opened = [j for j, f in enumerate(free) if f]
+    prev = np.array(kept + [-1] * len(opened), dtype=np.intp)
+    took = np.array([took[i] for i in kept] + opened, dtype=np.intp)
+    # so a track that missed this frame has missed only it, and stays where it was
+    held = took < 0
+    at = np.where(held, len(pixels) + prev, took)
+    return prev, took, held.astype(np.intp), np.concatenate([pixels, last])[at]
 
 
 TRACE_COLUMNS = ["track_id", "t", "intensity", "hue", "row", "col"]

@@ -15,6 +15,7 @@ from flashtrack.channel import (
     SensorTiming,
     apply_heartbeat,
     count_drift_events,
+    frame_count,
     heartbeat_expired,
     render_flashes,
     render_samples,
@@ -144,6 +145,14 @@ class TestSampleStream:
     @staticmethod
     def flat_row(frame: int) -> float:
         return 0.0
+
+    def test_frame_count_is_floor_of_duration_times_fps(self):
+        # 0.3 / (1 / 10) rounds to 2.9999999999999996, 0.3 * 10 to 3.0
+        em = EmitterState(BitWord.from_string("0111"), bit_period=0.1)
+        timing = SensorTiming("ccd", fps=10.0)
+        samples = sample_stream(em, ClockModel(0.0), timing, ClockModel(0.0), self.flat_row, 0.3)
+        assert len(samples) == frame_count(0.3, 10.0) == 4
+        assert frame_count(1e300, 1e300) == math.inf
 
     def test_nominal_clocks_sample_each_bit_once(self):
         word = BitWord.from_string("01100111")

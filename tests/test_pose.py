@@ -441,9 +441,10 @@ class TestHelpers:
 
     def test_log_inverts_exp_below_pi(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
+        top = np.pi - pose.HALF_TURN_MARGIN  # the largest turn a trajectory may take
+        for turn in [*rng.uniform(1e-6, top, 100), top]:
             w = rng.normal(0.0, 1.0, 3)
-            w *= rng.uniform(1e-6, np.pi - 1e-3) / np.linalg.norm(w)
+            w *= turn / np.linalg.norm(w)
             assert np.allclose(log_so3(exp_so3(w)), w, rtol=0.0, atol=1e-9)
 
     def test_log_inverts_exp_up_to_the_half_turn_margin(self):

@@ -1,7 +1,9 @@
 """End-to-end scenario runs and the command-line surface."""
 
+import collections
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -30,6 +32,11 @@ from flashtrack.scenario import (
 from flashtrack.pose import Pose, exp_so3
 
 import test_golden
+
+_ORACLE_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("bench_oracle", _ORACLE_PATH)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 #: (mode, bits) just outside and just inside each mode's code-book range
@@ -351,6 +358,22 @@ class TestScenarioCube:
         sizes = {len(f["identified"]) for f in report.per_frame if f["pose"] is not None}
         assert sizes == ({5, 6, 7, 8} if swing else {8})
 
+    def test_run_builds_no_sighting_objects(self, monkeypatch):
+        # sightings stay array rows from sensing through association to decoding
+        built = collections.Counter()
+
+        def counted(init):
+            def __init__(self, *args, **kwargs):
+                built[type(self).__name__] += 1
+                init(self, *args, **kwargs)
+            return __init__
+
+        for cls in (signal.Detection, signal.FlashSample, signal.SampleTrace):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        report = run(ScenarioConfig.from_dict(test_golden.scenes.cube()))
+        assert built == collections.Counter()
+        assert report.summary["identified_flashers"] == 8
+
     @given(
         kind=st.sampled_from(["ccd", "cmos"]),
         scheme=st.sampled_from(["hue", "intensity"]),
@@ -553,6 +576,14 @@ class TestScenarioConfig:
         raw["flashers"][0]["id"] = 3
         ScenarioConfig.from_dict(raw)
 
+    def test_frame_count_is_floor_of_duration_times_fps(self):
+        # 0.3 / (1 / 10) is 2.9999999999999996, 0.3 * 10 is 3.0: frames at 0, 0.1, 0.2, 0.3
+        raw = test_golden.scenes.cube()
+        raw["duration_s"], raw["camera"]["sensor"]["fps"] = 0.3, 10.0
+        report = run(ScenarioConfig.from_dict(raw))
+        assert report.summary["frames"] == len(report.per_frame) == 4
+        assert oracle.ScenarioOracle(raw).check(report.to_dict())["flashers"] == 8
+
     def test_frame_count_capped(self):
         raw = cube_config(duration=1e9)
         with pytest.raises(ConfigError) as exc:
@@ -744,6 +775,16 @@ class TestTrajectoryInterpolation:
             one, want = interpolate_pose(trajectory, t), self.one_instant(trajectory, t)
             assert np.array_equal(r, one.rotation) and np.array_equal(tr, one.translation)
             assert np.array_equal(r, want.rotation) and np.array_equal(tr, want.translation)
+
+    def test_direct_call_across_a_half_turn_raises(self):
+        # log_so3 of a half turn is 0, so the segment would play as no turn
+        knots = [(0.0, Pose(np.eye(3), [0, 0, 4])), (1.0, Pose(np.eye(3), [0, 0, 4])),
+                 (2.0, Pose(np.diag([1.0, -1.0, -1.0]), [0, 0, 4]))]
+        fault = r"trajectory\[2\].rotation: turns 3.14159265 rad from trajectory\[1\]"
+        with pytest.raises(ValueError, match=fault):
+            scenario.interpolate_poses(knots, [1.25, 1.5, 1.75])
+        with pytest.raises(ValueError, match=fault):
+            interpolate_pose(knots, 1.5)
 
 
 class TestCli:

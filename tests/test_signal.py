@@ -541,31 +541,22 @@ class TestSuppression:
 
 class TestAssociate:
     def test_match_within_gate(self):
-        tr = SampleTrace(track_id=1)
-        tr.append(FlashSample(0.0, 50.0, 0.0, (10.0, 10.0)))
-        out = associate([tr], [Detection((10.4, 10.1), 60.0, 0.0)], 2.0, 1.0)
-        assert len(out) == 1
-        assert len(out[0].samples) == 2
-        assert out[0].last_pixel == (10.4, 10.1)
+        prev, took, missed, last = associate([(10.0, 10.0)], [0], [(10.4, 10.1)], 2.0)
+        assert prev.tolist() == [0]
+        assert took.tolist() == [0]
+        assert last.tolist() == [[10.4, 10.1]]
 
     def test_detection_outside_gate_opens_new_track(self):
-        tr = SampleTrace(track_id=1)
-        tr.append(FlashSample(0.0, 50.0, 0.0, (10.0, 10.0)))
-        out = associate([tr], [Detection((30.0, 30.0), 60.0, 0.0)], 2.0, 1.0)
-        ids = {t.track_id for t in out}
-        assert len(out) == 2 and 1 in ids
+        prev, took, _, _ = associate([(10.0, 10.0)], [0], [(30.0, 30.0)], 2.0)
+        assert len(prev) == 2 and 0 in prev.tolist()
+        assert took.tolist() == [-1, 0]
 
     def test_crossing_matches_minimize_total_distance(self):
-        a = SampleTrace(track_id=1)
-        a.append(FlashSample(0.0, 50.0, 0.0, (10.0, 10.0)))
-        b = SampleTrace(track_id=2)
-        b.append(FlashSample(0.0, 50.0, 0.0, (10.0, 12.0)))
-        dets = [Detection((10.0, 10.6), 60.0, 0.0), Detection((10.0, 11.6), 60.0, 0.0)]
-        out = associate([a, b], dets, 3.0, 1.0)
-        pix = {t.track_id: t.last_pixel for t in out}
+        starts = [(10.0, 10.0), (10.0, 12.0)]
+        prev, _, _, last = associate(starts, [0, 0], [(10.0, 10.6), (10.0, 11.6)], 3.0)
+        pix = dict(zip(prev.tolist(), map(tuple, last.tolist())))
         paired = sum(
-            np.hypot(pix[t][0] - p0[0], pix[t][1] - p0[1])
-            for t, p0 in [(1, (10.0, 10.0)), (2, (10.0, 12.0))]
+            np.hypot(pix[i][0] - p0[0], pix[i][1] - p0[1]) for i, p0 in enumerate(starts)
         )
         swapped = (
             np.hypot(10.0 - 10.0, 11.6 - 10.0) + np.hypot(10.0 - 10.0, 10.6 - 12.0)
@@ -573,12 +564,11 @@ class TestAssociate:
         assert paired <= swapped
 
     def test_track_missing_twice_is_closed(self):
-        tr = SampleTrace(track_id=1)
-        tr.append(FlashSample(0.0, 50.0, 0.0, (10.0, 10.0)))
-        out = associate([tr], [], 2.0, 1.0)
-        assert len(out) == 1 and out[0].missed == 1
-        out = associate(out, [], 2.0, 2.0)
-        assert out == []
+        prev, _, missed, last = associate([(10.0, 10.0)], [0], np.empty((0, 2)), 2.0)
+        assert prev.tolist() == [0] and missed.tolist() == [1]
+        assert last.tolist() == [[10.0, 10.0]]
+        prev, took, missed, last = associate(last, missed, [], 2.0)
+        assert len(prev) == len(took) == len(missed) == len(last) == 0
 
     def test_timestamps_must_increase(self):
         tr = SampleTrace(track_id=1)
@@ -587,80 +577,78 @@ class TestAssociate:
             tr.append(FlashSample(1.0, 50.0, 0.0, (10.0, 10.0)))
 
 
-def associate_loop(tracks, detections, gating_radius, t):
-    """associate as a loop over every track x detection pair, sorted as tuples."""
-    open_tracks = [tr for tr in tracks if tr.samples]
+def associate_loop(last, missed, pixels, gating_radius):
+    """associate as a loop over every track x detection pair, sorted as tuples.
+
+    Returns (prev, took, missed, last pixel) per track after the frame.
+    """
     pairs = []
-    for i, tr in enumerate(open_tracks):
-        r0, c0 = tr.last_pixel
-        for j, det in enumerate(detections):
-            dist = float(np.hypot(det.pixel[0] - r0, det.pixel[1] - c0))
+    for i, (r0, c0) in enumerate(last):
+        for j, (r, c) in enumerate(pixels):
+            dist = float(np.hypot(r - r0, c - c0))
             if dist <= gating_radius:
                 pairs.append((dist, i, j))
     pairs.sort()
-    matched_tracks, matched_dets = set(), set()
+    took, taken = {}, set()
     for _, i, j in pairs:
-        if i in matched_tracks or j in matched_dets:
+        if i in took or j in taken:
             continue
-        matched_tracks.add(i)
-        matched_dets.add(j)
-        det = detections[j]
-        open_tracks[i].append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
-        open_tracks[i].missed = 0
-    survivors = []
-    for i, tr in enumerate(open_tracks):
-        if i not in matched_tracks:
-            tr.missed += 1
-            if tr.missed > 1:
-                continue
-        survivors.append(tr)
-    next_id = max((tr.track_id for tr in tracks), default=-1) + 1
-    for j, det in enumerate(detections):
-        if j not in matched_dets:
-            tr = SampleTrace(next_id)
-            tr.append(FlashSample(t, det.intensity, det.hue, det.pixel, det.source))
-            survivors.append(tr)
-            next_id += 1
-    return survivors
+        took[i] = j
+        taken.add(j)
+    rows = []
+    for i, m in enumerate(missed):
+        if i in took:
+            rows.append((i, took[i], 0, tuple(pixels[took[i]])))
+        elif m + 1 <= 1:
+            rows.append((i, -1, m + 1, tuple(last[i])))
+    rows += [(-1, j, 0, tuple(p)) for j, p in enumerate(pixels) if j not in taken]
+    return rows
+
+
+def associate_rows(last, missed, pixels, gating_radius):
+    """associate's arrays as associate_loop's rows."""
+    prev, took, missed, last = associate(last, missed, pixels, gating_radius)
+    return list(zip(prev.tolist(), took.tolist(), missed.tolist(), map(tuple, last.tolist())))
 
 
 # lattice points give duplicate pixels, equal distances and exact gates (a
 # 3-4-5 pair at radius 5); free floats give everything else
 COORD = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0))
 PIXEL = st.tuples(COORD, COORD)
-# (last pixel or None for a track without samples, frames missed)
-TRACKS = st.lists(st.tuples(st.one_of(st.none(), PIXEL), st.integers(0, 1)), max_size=8)
+# (last pixel, frames missed) of each open track
+TRACKS = st.lists(st.tuples(PIXEL, st.integers(0, 1)), max_size=8)
+# each frame's detection pixels; empty frames close tracks, later ones reopen them
+FRAMES = st.lists(st.lists(PIXEL, max_size=8), min_size=1, max_size=5)
 
 
 class TestAssociateOrder:
     @staticmethod
-    def play(assoc, tracks, pixels, radius):
-        """Outcome of assoc on fresh tracks: each track's id, misses and samples."""
-        live = []
-        for track_id, (last, missed) in enumerate(tracks):
-            tr = SampleTrace(3 * track_id, missed=missed)
-            if last is not None:
-                tr.append(FlashSample(0.0, 1.0, 2.0, last, source=-1))
-            live.append(tr)
-        dets = [Detection(p, float(j), 0.0, source=j) for j, p in enumerate(pixels)]
-        return [
-            (tr.track_id, tr.missed, [(s.t, s.intensity, s.pixel, s.source) for s in tr.samples])
-            for tr in assoc(live, dets, radius, 1.0)
-        ]
+    def play(assoc, tracks, frames, radius):
+        """Each frame's rows from assoc, the tracks carried from frame to frame."""
+        last, missed = [p for p, _ in tracks], [m for _, m in tracks]
+        out = []
+        for pixels in frames:
+            out.append(assoc(last, missed, pixels, radius))
+            last, missed = [row[3] for row in out[-1]], [row[2] for row in out[-1]]
+        return out
 
-    @given(TRACKS, st.lists(PIXEL, max_size=8), st.one_of(
-        st.sampled_from([1.0, 2.0, 5.0]), st.floats(0.0, 20.0)))
+    @given(TRACKS, FRAMES, st.one_of(st.sampled_from([1.0, 2.0, 5.0]), st.floats(0.0, 20.0)))
     @settings(max_examples=200, deadline=None)
-    @example([((0.0, 0.0), 0)], [(3.0, 4.0)], 5.0)  # a pair at exactly the gate
-    @example([((5.0, 5.0), 0), ((5.0, 5.0), 1)], [(5.0, 7.0), (7.0, 5.0), (3.0, 5.0)], 2.0)
-    @example([((1.0, 1.0), 0), ((2.0, 2.0), 0)], [(1.5, 1.5), (1.5, 1.5)], 1.0)  # duplicates
-    def test_matches_pair_loop(self, tracks, pixels, radius):
-        got = self.play(associate, tracks, pixels, radius)
-        assert got == self.play(associate_loop, tracks, pixels, radius)
+    @example([((0.0, 0.0), 0)], [[(3.0, 4.0)]], 5.0)  # a pair at exactly the gate
+    @example([((5.0, 5.0), 0), ((5.0, 5.0), 1)], [[(5.0, 7.0), (7.0, 5.0), (3.0, 5.0)]], 2.0)
+    @example([((1.0, 1.0), 0), ((2.0, 2.0), 0)], [[(1.5, 1.5), (1.5, 1.5)]], 1.0)  # duplicates
+    @example([((1.0, 1.0), 0)], [[], [], [(1.0, 1.0)]], 1.0)  # closed, then reopened
+    def test_matches_pair_loop(self, tracks, frames, radius):
+        got = self.play(associate_rows, tracks, frames, radius)
+        assert got == self.play(associate_loop, tracks, frames, radius)
 
     def test_pair_at_the_gate_matches(self):
-        out = self.play(associate, [((0.0, 0.0), 0)], [(3.0, 4.0)], 5.0)
-        assert out == [(0, 0, [(0.0, 1.0, (0.0, 0.0), -1), (1.0, 0.0, (3.0, 4.0), 0)])]
+        out = self.play(associate_rows, [((0.0, 0.0), 0)], [[(3.0, 4.0)]], 5.0)
+        assert out == [[(0, 0, 0, (3.0, 4.0))]]
+
+    def test_closed_track_reopens_as_new(self):
+        out = self.play(associate_rows, [((1.0, 1.0), 0)], [[], [], [(1.0, 1.0)]], 1.0)
+        assert out == [[(0, -1, 1, (1.0, 1.0))], [], [(-1, 0, 0, (1.0, 1.0))]]
 
 
 class TestTraceCsv:
