@@ -170,8 +170,8 @@ def sample_stream(
     frames. Consecutive equal indices are an insertion (the same bit
     sampled twice), gaps are deletions.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration * sensor.fps < math.inf:
+        raise ValueError("duration must be positive, with a finite frame count")
     out = []
     for frame in range(frame_count(duration, sensor.fps)):
         row = float(row_trajectory(frame)) if sensor.kind == "cmos" else 0.0

@@ -397,8 +397,8 @@ def _rms(values: list[float]) -> float | None:
 
 
 class _Chunk(NamedTuple):
-    """What the camera senses over a run of frames, before any tracking; frame
-    f's sightings are the rows ends[f - 1]:ends[f], sorted by pixel."""
+    """What the camera senses over a run of frames, before any tracking: frame
+    f's sightings are rows ends[f - 1] (0 for the first) to ends[f], by pixel."""
 
     times: list[float]  # each frame's shared-timeline instant
     rot: np.ndarray  # (F, 3, 3) and (F, 3): the true camera pose at each instant

@@ -154,6 +154,14 @@ class TestSampleStream:
         assert len(samples) == frame_count(0.3, 10.0) == 4
         assert frame_count(1e300, 1e300) == math.inf
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf"), 1e306])
+    def test_duration_must_give_a_finite_frame_count(self, duration):
+        # 1e306 s at 1e3 fps overflows the frame count
+        em = EmitterState(BitWord.from_string("0111"), bit_period=0.1)
+        timing = SensorTiming("ccd", fps=1e3)
+        with pytest.raises(ValueError, match="duration"):
+            sample_stream(em, ClockModel(0.0), timing, ClockModel(0.0), self.flat_row, duration)
+
     def test_nominal_clocks_sample_each_bit_once(self):
         word = BitWord.from_string("01100111")
         em = EmitterState(word, bit_period=1 / 30.0)
